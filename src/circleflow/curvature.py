@@ -2,10 +2,15 @@
 
 A packing metric assigns one circle radius per vertex; each face then carries
 the geodesic triangle of `geometry.tri_angles`.  The curvature of a vertex is
-2*pi minus its cone angle (the sum of incident inner angles).  Everything is
-evaluated face-vectorized, with per-vertex angle sums done by exact summation
-(math.fsum) so results are reproducible bit-for-bit regardless of evaluation
-order or thread count.
+2*pi minus its cone angle (the sum of incident inner angles).
+
+`curvature_state` does only the work that depends on the radii; the incidence
+arrays it reads are cached on the mesh.  Each edge length is computed once
+per edge and gathered to the faces, and the cone angles are summed with one
+`np.bincount` over the corner->vertex index, so each per-vertex sum runs in
+the fixed corner order of the face table (a relabelling of the faces may move
+it by rounding).  The two Gauss-Bonnet totals are still exact sums
+(math.fsum).
 
 The flow works in coordinates u with du/dr = 1/s(r): u = ln r (Euclidean),
 ln tanh(r/2) (hyperbolic, so u < 0), ln tan(r/2) (spherical).  In these
@@ -28,8 +33,8 @@ from .geometry import (
     Geometry,
     _dtheta_dr,
     angles_from_lengths,
+    edge_length,
     s_func,
-    triangle_lengths,
 )
 from .mesh import WeightedTriangulation, euler_characteristic
 
@@ -154,13 +159,12 @@ def curvature_state(
     face_radii = _face_radii(mesh, metric)
     if geom is Geometry.SPHERICAL:
         _check_spherical_faces(mesh, face_radii)
-    lengths = triangle_lengths(geom, face_radii, mesh.face_weights)
-    angles = angles_from_lengths(geom, lengths)
-
-    flat = angles.ravel()
-    cone = np.array(
-        [math.fsum(flat[slots].tolist()) if slots.size else 0.0 for slots in mesh.vertex_slot_lists],
-        dtype=float,
+    r = metric.radii
+    ends = mesh.edge_endpoints
+    edge_lengths = edge_length(geom, r[ends[:, 0]], r[ends[:, 1]], mesh.edge_weights)
+    angles = angles_from_lengths(geom, edge_lengths[mesh.face_edge_ids])
+    cone = np.bincount(
+        mesh.face_vertices.ravel(), weights=angles.ravel(), minlength=mesh.vertex_count
     )
     curv = _TWO_PI - cone
 

@@ -76,6 +76,8 @@ def _float_array(raw, n, what) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.shape != (n,):
         raise MeshFormatError(f"{what} must list one value per vertex")
+    if not np.all(np.isfinite(arr)):
+        raise MeshFormatError(f"{what} must be finite")
     return arr
 
 

@@ -433,9 +433,10 @@ def newton_solve(
     best_u, best_resid = u.copy(), resid
     if on_iterate is not None:
         on_iterate(0, from_u(UCoordinates(geometry=geometry, u=u)), curv)
+    done = 0
     for it in range(1, cfg.max_steps + 1):
         if resid <= cfg.tol_curvature:
-            return from_u(UCoordinates(geometry=geometry, u=u)), it - 1
+            return from_u(UCoordinates(geometry=geometry, u=u)), done
         grad = curv - targets
         delta = _newton_direction(
             mesh, from_u(UCoordinates(geometry=geometry, u=u)), grad, geometry
@@ -457,17 +458,18 @@ def newton_solve(
             alpha *= 0.5
         if not moved:
             break
+        done = it
         if resid < best_resid:
             best_u, best_resid = u.copy(), resid
         if on_iterate is not None:
             on_iterate(it, from_u(UCoordinates(geometry=geometry, u=u)), curv)
     if resid <= cfg.tol_curvature:
-        return from_u(UCoordinates(geometry=geometry, u=u)), cfg.max_steps
+        return from_u(UCoordinates(geometry=geometry, u=u)), done
     raise NewtonNonConvergenceError(
         f"newton stalled at residual {best_resid:.3e} (tol {cfg.tol_curvature:.1e})",
         best_metric=from_u(UCoordinates(geometry=geometry, u=best_u)),
         residual=best_resid,
-        iterations=cfg.max_steps,
+        iterations=done,
     )
 
 

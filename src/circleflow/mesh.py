@@ -119,28 +119,17 @@ class WeightedTriangulation:
 
     @property
     def face_weights(self) -> np.ndarray:
-        def build():
-            w = np.array([e.weight for e in self.edges], dtype=float)
-            return w[self.face_edge_ids] if self.faces else np.zeros((0, 3))
-
-        return self._arr("fw", build)
+        return self._arr("fw", lambda: self.edge_weights[self.face_edge_ids])
 
     @property
     def edge_weights(self) -> np.ndarray:
         return self._arr("ew", lambda: np.array([e.weight for e in self.edges], dtype=float))
 
     @property
-    def vertex_slot_lists(self):
-        """Per vertex, the flat indices into the (F, 3) face-corner table."""
-
-        def build():
-            slots = [[] for _ in range(self.vertex_count)]
-            for f, face in enumerate(self.faces):
-                for s, v in enumerate(face.vertices):
-                    slots[v].append(3 * f + s)
-            return [np.array(s, dtype=np.int64) for s in slots]
-
-        return self._arr("vslots", build)
+    def edge_endpoints(self) -> np.ndarray:
+        return self._arr(
+            "eab", lambda: np.array([(e.a, e.b) for e in self.edges], dtype=np.int64).reshape(-1, 2)
+        )
 
     @property
     def edge_face_slots(self):

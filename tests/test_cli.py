@@ -135,6 +135,19 @@ def test_parse_error_exit(tmp_path, capsys):
     assert cli.run(["check", str(bad)]) == 2
 
 
+def test_check_rejects_nan_target(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    files.write_mesh(p, meshes.tetrahedron(), geometry=cf.Geometry.EUCLIDEAN)
+    doc = json.loads(p.read_text())
+    doc["targets"] = [float("nan"), 1.0, 1.0, 1.0]
+    p.write_text(json.dumps(doc))
+    code = cli.run(["check", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "overall: holds" not in captured.out
+    assert "targets must be finite" in captured.out + captured.err
+
+
 def test_validation_error_exit(tmp_path, capsys):
     p = tmp_path / "m.json"
     files.write_mesh(p, meshes.tetrahedron(), geometry=cf.Geometry.EUCLIDEAN)

@@ -1,6 +1,7 @@
 """Vertex curvature, coordinate changes, Hessian assembly."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from circleflow import meshes
 from conftest import draw_metric
 
 GEOMS = (cf.Geometry.EUCLIDEAN, cf.Geometry.HYPERBOLIC, cf.Geometry.SPHERICAL)
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FIXTURES = sorted(f for f in os.listdir(FIXDIR) if f.endswith(".json"))
 
 
 def test_packing_metric_validation():
@@ -86,6 +89,48 @@ def test_gauss_bonnet_residual_and_violation():
     assert 0 < abs(st.gb_residual) < 1e-12
     with pytest.raises(cf.GaussBonnetViolation):
         cf.curvature_state(tet, m, gb_tol=0.0)
+
+
+def _oracle_cone_angles(mesh, metric):
+    """Cone angles from face-local lengths, each vertex summed exactly (math.fsum)."""
+    g = metric.geometry
+    lengths = cf.triangle_lengths(g, metric.radii[mesh.face_vertices], mesh.face_weights)
+    angles = cf.angles_from_lengths(g, lengths)
+    corners = [[] for _ in range(mesh.vertex_count)]
+    for f, face in enumerate(mesh.faces):
+        for s, v in enumerate(face.vertices):
+            corners[v].append(float(angles[f, s]))
+    return np.array([math.fsum(c) for c in corners]), lengths
+
+
+def _oracle_cases():
+    """(name, mesh, metric): every fixture plus a permuted genus_2, in every
+    geometry, at the file radii where that geometry admits them and at drawn radii."""
+    rng = np.random.default_rng(20261017)
+    loaded = []
+    for name in FIXTURES:
+        mesh, metric, _ = cf.parse_mesh(os.path.join(FIXDIR, name))
+        loaded.append((name, mesh, metric.radii))
+    g2 = meshes.genus_2(0.4)
+    perm = rng.permutation(g2.vertex_count)
+    loaded.append(("genus_2 permuted", g2.permuted(perm), rng.uniform(0.3, 3.0, g2.vertex_count)))
+    for name, mesh, radii in loaded:
+        for g in GEOMS:
+            if g is not cf.Geometry.SPHERICAL or radii[mesh.face_vertices].sum(axis=1).max() < math.pi:
+                yield name, mesh, cf.PackingMetric(geometry=g, radii=radii)
+            yield name, mesh, draw_metric(rng, mesh, g)
+
+
+def test_cone_angles_match_exact_summation_oracle():
+    for name, mesh, metric in _oracle_cases():
+        st = cf.curvature_state(mesh, metric)
+        cone, lengths = _oracle_cone_angles(mesh, metric)
+        assert np.abs(st.cone_angles - cone).max() <= 1e-13, name
+        ends = mesh.edge_endpoints
+        r = metric.radii
+        per_edge = cf.edge_length(metric.geometry, r[ends[:, 0]], r[ends[:, 1]], mesh.edge_weights)
+        np.testing.assert_allclose(per_edge[mesh.face_edge_ids], lengths, rtol=1e-14, atol=0)
+        assert abs(st.gb_residual) <= 1e-12, name
 
 
 def test_spherical_face_sum_guard():

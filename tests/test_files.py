@@ -78,6 +78,18 @@ def test_bad_radii_rejected(tmp_path):
         files.parse_mesh(p)
 
 
+@pytest.mark.parametrize("key", ["radii", "targets"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vertex_values_rejected(tmp_path, key, bad):
+    p = tmp_path / "m.json"
+    files.write_mesh(p, meshes.tetrahedron(), geometry=cf.Geometry.EUCLIDEAN)
+    doc = json.loads(p.read_text())
+    doc[key] = [1.0, bad, 1.0, 1.0]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(files.MeshFormatError, match=f"{key} must be finite"):
+        files.parse_mesh(p)
+
+
 def test_validation_errors_carry_violations(tmp_path):
     p = tmp_path / "m.json"
     files.write_mesh(p, meshes.tetrahedron(), geometry=cf.Geometry.EUCLIDEAN)
