@@ -5,8 +5,9 @@ flow or Newton solve, optional trace/mesh output), `layout` (develop a
 packing and render SVG).
 
 Exit codes: 0 success, 2 unreadable or malformed mesh file, 3 validation or
-usage failure, 4 existence conditions violated or undecidable, 5 solver did
-not converge (degeneration, iteration cap, or spherical constraint stop).
+usage failure (including Euclidean targets that do not sum to 2*pi*chi), 4
+existence conditions violated or undecidable, 5 solver did not converge
+(degeneration, iteration cap, or spherical constraint stop).
 """
 
 from __future__ import annotations
@@ -107,9 +108,13 @@ def cmd_check(args, mesh, metric, targets) -> int:
         f"mesh ok: {mesh.vertex_count} vertices, {mesh.edge_count} edges, "
         f"{mesh.face_count} faces, euler characteristic {chi}, geometry {geometry.tag}"
     )
-    report = full_report(
-        mesh, geometry, targets=targets, subset_cap=args.subset_cap, threads=args.threads
-    )
+    try:
+        report = full_report(
+            mesh, geometry, targets=targets, subset_cap=args.subset_cap, threads=args.threads
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.json:
         doc = {
             "valid": True,
@@ -145,7 +150,7 @@ def cmd_check(args, mesh, metric, targets) -> int:
             if s.status == "skipped":
                 print(
                     f"subset scan skipped ({mesh.vertex_count} vertices > cap "
-                    f"{args.subset_cap}); loop screen below"
+                    f"{args.subset_cap})" + ("; loop screen below" if report.loops else "")
                 )
             else:
                 print(
@@ -190,8 +195,28 @@ def _degeneration_hint(mesh, targets, radii):
     return worst
 
 
+def _newton_trace(mesh, metric, config, targets):
+    """Run newton_solve; returns its iterates as a trace (t = iteration) and
+    the iteration count."""
+    samples = []
+
+    def record(it, m, curv):
+        samples.append(FlowSample.of(m, curv, float(it), 0.0))
+
+    try:
+        _solved, iterations = newton_solve(mesh, metric, config, on_iterate=record)
+        termination = Termination.CONVERGED
+    except NewtonNonConvergenceError as err:
+        iterations, termination = err.iterations, Termination.MAX_STEPS
+    trace = FlowTrace(
+        geometry=metric.geometry, targets=targets, samples=samples, termination=termination
+    )
+    return trace, iterations
+
+
 def cmd_flow(args, mesh, metric, targets) -> int:
     geometry = metric.geometry
+    newton = args.mode == MODE_NEWTON
     config = FlowConfig(
         target_curvatures=targets,
         tol_curvature=args.tol,
@@ -204,20 +229,22 @@ def cmd_flow(args, mesh, metric, targets) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    if args.mode == MODE_NEWTON:
-        if geometry is Geometry.SPHERICAL:
-            print("error: newton mode needs euclidean or hyperbolic geometry", file=sys.stderr)
-            return EXIT_VALIDATION
-        return _run_newton(args, mesh, metric, config, resolved)
+    if newton and geometry is Geometry.SPHERICAL:
+        print("error: newton mode needs euclidean or hyperbolic geometry", file=sys.stderr)
+        return EXIT_VALIDATION
 
     try:
-        trace, report = run_flow(mesh, metric, config)
+        if newton:
+            trace, iterations = _newton_trace(mesh, metric, config, resolved.target_curvatures)
+            report = None
+        else:
+            trace, report = run_flow(mesh, metric, config)
     except (DomainError, DegenerateTriangleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     final = trace.samples[-1]
     residual = float(np.abs(final.curvatures - trace.targets).max())
+    term = trace.termination
     if args.out:
         write_trace(args.out, trace, report)
     if args.save_mesh:
@@ -225,30 +252,42 @@ def cmd_flow(args, mesh, metric, targets) -> int:
             args.save_mesh,
             mesh,
             metric=PackingMetric(geometry=geometry, radii=final.radii),
-            targets=targets,
+            targets=trace.targets if newton else targets,
         )
-    term = trace.termination
     if args.json:
+        if newton:
+            progress, rates = {"iterations": iterations}, {}
+        else:
+            progress = {"samples": len(trace.samples), "t_final": final.t}
+            rates = {
+                "rate_c1": report.rate_c1 if report else None,
+                "rate_c2": report.rate_c2 if report else None,
+            }
         print(
             json.dumps(
                 {
-                    "mode": MODE_EULER,
+                    "mode": args.mode,
                     "geometry": geometry.tag,
                     "termination": term.value,
-                    "samples": len(trace.samples),
-                    "t_final": final.t,
+                    **progress,
                     "residual": residual,
-                    "rate_c1": report.rate_c1 if report else None,
-                    "rate_c2": report.rate_c2 if report else None,
+                    **rates,
                     "radii": np.asarray(final.radii).tolist(),
                 }
             )
         )
     else:
-        print(
-            f"flow {term.value}: {len(trace.samples)} samples, t = {final.t:.6g}, "
-            f"sup|K - target| = {residual:.3e}"
-        )
+        if not newton:
+            print(
+                f"flow {term.value}: {len(trace.samples)} samples, t = {final.t:.6g}, "
+                f"sup|K - target| = {residual:.3e}"
+            )
+        elif term is Termination.CONVERGED:
+            print(f"newton converged in {iterations} iterations, "
+                  f"sup|K - target| = {residual:.3e}")
+        else:
+            print(f"newton did not converge: residual {residual:.3e} "
+                  f"after {iterations} iterations")
         if report and math.isfinite(report.rate_c2):
             print(
                 f"tail fit sup|K - target| ~ {report.rate_c1:.3g} * exp(-{report.rate_c2:.3g} t)"
@@ -265,80 +304,6 @@ def cmd_flow(args, mesh, metric, targets) -> int:
     if term in (Termination.CONVERGED, Termination.STOPPED):
         return EXIT_OK
     return EXIT_NO_CONVERGENCE
-
-
-def _run_newton(args, mesh, metric, config, resolved) -> int:
-    samples = []
-
-    def record(it, m, curv):
-        samples.append(
-            FlowSample(
-                t=float(it),
-                radii=np.asarray(m.radii, dtype=float),
-                curvatures=curv,
-                k_max=float(curv.max()),
-                k_min=float(curv.min()),
-                step=0.0,
-            )
-        )
-
-    geometry = metric.geometry
-    failure = None
-    try:
-        solved, iterations = newton_solve(mesh, metric, config, on_iterate=record)
-        final_radii = np.asarray(solved.radii, dtype=float)
-    except NewtonNonConvergenceError as err:
-        failure = err
-        final_radii = np.asarray(err.best_metric.radii, dtype=float)
-        iterations = err.iterations
-    except (DomainError, DegenerateTriangleError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    residual = (
-        failure.residual
-        if failure is not None
-        else float(np.abs(samples[-1].curvatures - resolved.target_curvatures).max())
-        if samples
-        else 0.0
-    )
-    if args.out:
-        term = Termination.MAX_STEPS if failure is not None else Termination.CONVERGED
-        write_trace(
-            args.out,
-            FlowTrace(
-                geometry=geometry,
-                targets=resolved.target_curvatures,
-                samples=samples,
-                termination=term,
-            ),
-        )
-    if args.save_mesh:
-        write_mesh(
-            args.save_mesh,
-            mesh,
-            metric=PackingMetric(geometry=geometry, radii=final_radii),
-            targets=resolved.target_curvatures,
-        )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "mode": MODE_NEWTON,
-                    "geometry": geometry.tag,
-                    "termination": "max_steps" if failure is not None else "converged",
-                    "iterations": iterations,
-                    "residual": residual,
-                    "radii": final_radii.tolist(),
-                }
-            )
-        )
-    elif failure is not None:
-        print(f"newton did not converge: residual {failure.residual:.3e} "
-              f"after {failure.iterations} iterations")
-    else:
-        print(f"newton converged in {iterations} iterations, "
-              f"sup|K - target| = {residual:.3e}")
-    return EXIT_NO_CONVERGENCE if failure is not None else EXIT_OK
 
 
 def cmd_layout(args, mesh, metric, targets) -> int:

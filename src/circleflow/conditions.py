@@ -13,12 +13,14 @@ that test over all proper subsets (exhaustively, for meshes small enough to
 enumerate); `subset_bound` exposes the bound itself and `degeneration_probe`
 demonstrates the convergence numerically.
 
-On surfaces of negative Euler characteristic the same content reduces to two
-local weight conditions on short loops: a null-homotopic 3-loop with weight
-sum >= pi must bound a face, and a null-homotopic 4-loop with weight sum >=
-2*pi must bound a pair of adjacent faces.  `check_loop_conditions` tests both,
-reporting "undetermined" for closed walks whose homotopy class the
-region-cutting test cannot decide.
+On surfaces of negative Euler characteristic with zero hyperbolic targets
+the same content reduces to two local weight conditions on short loops: a
+null-homotopic 3-loop with weight sum >= pi must bound a face, and a
+null-homotopic 4-loop with weight sum >= 2*pi must bound a pair of adjacent
+faces.  `check_loop_conditions` tests both, reporting "undetermined" for
+closed walks whose homotopy class the region-cutting test cannot decide.
+Other hyperbolic targets also need each target below 2*pi and a target sum
+above 2*pi*chi; `full_report` tests those before the subset scan.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import PackingMetric, curvature_state
+from .curvature import PackingMetric, curvature_state, resolve_targets
 from .geometry import Geometry
 from .mesh import (
     WeightedTriangulation,
@@ -78,11 +80,11 @@ def subset_bound(mesh: WeightedTriangulation, subset) -> float:
 class SubsetConditionVerdict:
     status: str  # "holds" | "fails" | "skipped"
     min_margin: float  # min over subsets of (target sum - bound)
-    witness: Optional[tuple]  # smallest violating subset, ties to lowest ids
-    violations: int
-    near_ties: int  # margins in (STRICT_TOL, NEAR_TOL]
-    worst_bounds: tuple  # ((margin, subset), ...) for the tightest subsets
-    subsets_checked: int
+    witness: Optional[tuple] = None  # smallest violating subset, ties to lowest ids
+    violations: int = 0
+    near_ties: int = 0  # margins in (STRICT_TOL, NEAR_TOL]
+    worst_bounds: tuple = ()  # ((margin, subset), ...) for the tightest subsets
+    subsets_checked: int = 0
     loop_fallback: Optional[tuple] = None  # loop verdicts when the scan is skipped
 
 
@@ -207,21 +209,13 @@ def check_subset_inequalities(
     if n < 2:
         raise ValueError("subset scan needs at least two vertices")
     if targets is None:
-        targets = np.full(n, _TWO_PI * euler_characteristic(mesh) / n)
-    else:
-        targets = np.asarray(targets, dtype=float)
-        if targets.shape != (n,):
-            raise ValueError("targets must give one value per vertex")
+        targets = resolve_targets(mesh, Geometry.EUCLIDEAN)
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (n,):
+        raise ValueError("targets must give one value per vertex")
     if n > subset_cap:
         return SubsetConditionVerdict(
-            status="skipped",
-            min_margin=math.nan,
-            witness=None,
-            violations=0,
-            near_ties=0,
-            worst_bounds=(),
-            subsets_checked=0,
-            loop_fallback=check_loop_conditions(mesh),
+            status="skipped", min_margin=math.nan, loop_fallback=check_loop_conditions(mesh)
         )
 
     tables = _scan_tables(mesh, targets)
@@ -320,6 +314,31 @@ def degeneration_probe(
     return rows
 
 
+def _hyperbolic_bounds(mesh: WeightedTriangulation, targets: np.ndarray):
+    """Bounds on hyperbolic targets beyond the proper-subset inequalities:
+    each K_i < 2*pi (cone angles are positive) and sum K = 2*pi*chi + area >
+    2*pi*chi.  Returns a "fails" verdict naming the vertex or the whole vertex
+    set, with the bound's margin, or None when both hold.
+    """
+    top = int(np.argmax(targets))
+    whole = tuple(range(mesh.vertex_count))
+    bounds = (
+        (_TWO_PI - float(targets[top]), (top,)),
+        (float(targets.sum()) - _TWO_PI * euler_characteristic(mesh), whole),
+    )
+    for checked, (margin, witness) in enumerate(bounds, start=1):
+        if margin <= STRICT_TOL:
+            return SubsetConditionVerdict(
+                status="fails",
+                min_margin=margin,
+                witness=witness,
+                violations=1,
+                worst_bounds=((margin, witness),),
+                subsets_checked=checked,
+            )
+    return None
+
+
 def full_report(
     mesh: WeightedTriangulation,
     geometry: Geometry,
@@ -331,8 +350,9 @@ def full_report(
     """Route the geometry to its condition set and fold into one verdict.
 
     Euclidean -> subset scan ("undetermined" when skipped over the cap);
-    hyperbolic -> loop conditions; spherical -> "not_applicable" (no
-    existence criterion to test).
+    targets must sum to 2*pi*chi (ValueError otherwise).  Hyperbolic -> loop
+    conditions for zero targets, else `_hyperbolic_bounds`, then the subset
+    scan.  Spherical -> "not_applicable" (no existence criterion to test).
     """
     geometry = Geometry(geometry)
     chi = euler_characteristic(mesh)
@@ -340,26 +360,34 @@ def full_report(
         return ConditionReport(
             geometry=geometry, euler_char=chi, overall="not_applicable", subset=None, loops=None
         )
-    if geometry is Geometry.EUCLIDEAN:
+    targets = resolve_targets(mesh, geometry, targets)
+    if geometry is Geometry.HYPERBOLIC and not np.any(targets):
+        v3, v4 = check_loop_conditions(mesh)
+        statuses = {v3.status, v4.status}
+        if "fails" in statuses:
+            overall = "fails"
+        elif "undetermined" in statuses:
+            overall = "undetermined"
+        else:
+            overall = "holds"
+        return ConditionReport(
+            geometry=geometry, euler_char=chi, overall=overall, subset=None, loops=(v3, v4)
+        )
+    verdict = None
+    if geometry is Geometry.HYPERBOLIC:
+        verdict = _hyperbolic_bounds(mesh, targets)
+        if verdict is None and mesh.vertex_count > subset_cap:
+            # the loop screen holds only for zero targets: nothing decides
+            verdict = SubsetConditionVerdict(status="skipped", min_margin=math.nan)
+    if verdict is None:
         verdict = check_subset_inequalities(
             mesh, targets=targets, subset_cap=subset_cap, threads=threads
         )
-        overall = {"holds": "holds", "fails": "fails", "skipped": "undetermined"}[verdict.status]
-        return ConditionReport(
-            geometry=geometry,
-            euler_char=chi,
-            overall=overall,
-            subset=verdict,
-            loops=verdict.loop_fallback,
-        )
-    v3, v4 = check_loop_conditions(mesh)
-    statuses = {v3.status, v4.status}
-    if "fails" in statuses:
-        overall = "fails"
-    elif "undetermined" in statuses:
-        overall = "undetermined"
-    else:
-        overall = "holds"
+    overall = {"holds": "holds", "fails": "fails", "skipped": "undetermined"}[verdict.status]
     return ConditionReport(
-        geometry=geometry, euler_char=chi, overall=overall, subset=None, loops=(v3, v4)
+        geometry=geometry,
+        euler_char=chi,
+        overall=overall,
+        subset=verdict,
+        loops=verdict.loop_fallback,
     )

@@ -46,6 +46,7 @@ __all__ = [
     "UCoordinates",
     "curvature_hessian",
     "curvature_state",
+    "default_targets",
     "diagonal_dominance_verdict",
     "from_u",
     "to_u",
@@ -103,18 +104,50 @@ def to_u(metric: PackingMetric) -> UCoordinates:
 
 
 def from_u(coords: UCoordinates) -> PackingMetric:
+    """Inverse of `to_u`; raises DomainError for u outside the domain (a
+    non-finite or vanishing radius, hyperbolic u >= 0, spherical r >= pi)."""
     u = coords.u
     g = coords.geometry
-    if g is Geometry.EUCLIDEAN:
-        r = np.exp(u)
-    elif g is Geometry.HYPERBOLIC:
-        if np.any(u >= 0.0):
-            raise DomainError("hyperbolic u-coordinates must be negative")
-        # r = ln((1+e^u)/(1-e^u)); -expm1 keeps precision for u near 0-
-        r = np.log1p(np.exp(u)) - np.log(-np.expm1(u))
-    else:
-        r = 2.0 * np.arctan(np.exp(u))
+    # an overflowing exp gives an infinite radius, which PackingMetric rejects
+    with np.errstate(over="ignore"):
+        if g is Geometry.EUCLIDEAN:
+            r = np.exp(u)
+        elif g is Geometry.HYPERBOLIC:
+            if np.any(u >= 0.0):
+                raise DomainError("hyperbolic u-coordinates must be negative")
+            # r = ln((1+e^u)/(1-e^u)); -expm1 keeps precision for u near 0-
+            r = np.log1p(np.exp(u)) - np.log(-np.expm1(u))
+        else:
+            r = 2.0 * np.arctan(np.exp(u))
     return PackingMetric(geometry=g, radii=r)
+
+
+def default_targets(mesh: WeightedTriangulation, geometry: Geometry) -> np.ndarray:
+    """Average curvature in the Euclidean gauge, zero otherwise."""
+    n = mesh.vertex_count
+    if geometry is Geometry.EUCLIDEAN:
+        return np.full(n, _TWO_PI * euler_characteristic(mesh) / n)
+    return np.zeros(n)
+
+
+def resolve_targets(
+    mesh: WeightedTriangulation, geometry: Geometry, targets: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """`targets` checked, or `default_targets`.  Raises ValueError unless there
+    is one value per vertex and, in Euclidean geometry, they sum to 2*pi*chi
+    (Gauss-Bonnet has no area term there)."""
+    if targets is None:
+        return default_targets(mesh, geometry)
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (mesh.vertex_count,):
+        raise ValueError("targets must give one value per vertex")
+    if geometry is Geometry.EUCLIDEAN:
+        want = _TWO_PI * euler_characteristic(mesh)
+        if abs(float(targets.sum()) - want) > 1e-8 * max(1.0, abs(want)):
+            raise ValueError(
+                f"Euclidean targets must sum to 2*pi*chi = {want}, got {targets.sum()}"
+            )
+    return targets
 
 
 def _face_radii(mesh: WeightedTriangulation, metric: PackingMetric) -> np.ndarray:

@@ -5,18 +5,25 @@ The evolution is du_i/dt = -(K_i - target_i) in the flow coordinates of
 Default targets are the average curvature 2*pi*chi/N in Euclidean geometry
 and zero otherwise.
 
-`run_flow` integrates with explicit Euler under step doubling: a step is
-accepted only if the state stays in the geometric domain and the sup-norm gap
-between one full step and two half steps stays below a per-step budget
-proportional to the current curvature residual.  Euclidean updates are
-projected onto sum(du) = 0, so the product of the radii is preserved and the
-scale gauge never drifts.  Spherical runs use the same machinery but keep the
-per-face radius-sum constraint as a step guard and never report a verdict
-stronger than "stopped"/"constraint_hit": there is no convergence theory to
-promise more.
+`run_flow` and `newton_solve` seek the same fixed point and share one solve
+loop: it starts from the metric, tests the sup-norm residual against the
+tolerance before every step and after the last one, enforces the step cap,
+and hands every accepted state to the caller.  Each solver supplies only its
+step.
 
-`newton_solve` descends the same residual with damped Newton steps on the
-curvature Jacobian (a convex problem in Euclidean and hyperbolic geometry);
+`run_flow` steps with explicit Euler under step doubling: a step is accepted
+only if the state stays in the geometric domain and the sup-norm gap between
+one full step and two half steps stays below a per-step budget proportional
+to the current curvature residual.  Euclidean updates are projected onto
+sum(du) = 0, so the product of the radii is preserved and the scale gauge
+never drifts.  Spherical runs use the same machinery but keep the per-face
+radius-sum constraint as a step guard and never report a verdict stronger
+than "stopped"/"constraint_hit": there is no convergence theory to promise
+more.
+
+`newton_solve` steps with damped Newton on the curvature Jacobian (a convex
+problem in Euclidean and hyperbolic geometry); its line search accepts only a
+strictly lower residual, so the last iterate is always the best one.
 `potential_value` integrates the underlying closed 1-form sum (K_i -
 target_i) du_i along straight segments, which is the convex potential whose
 gradient the solvers chase.
@@ -33,9 +40,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .curvature import PackingMetric, UCoordinates, curvature_hessian, curvature_state, from_u, to_u
+from .curvature import (PackingMetric, UCoordinates, curvature_hessian, curvature_state,
+                        default_targets, from_u, resolve_targets, to_u)
 from .geometry import DegenerateTriangleError, DomainError, Geometry
-from .mesh import WeightedTriangulation, euler_characteristic
+from .mesh import WeightedTriangulation
 
 __all__ = [
     "ConvergenceReport",
@@ -58,7 +66,6 @@ __all__ = [
     "run_flow",
 ]
 
-_TWO_PI = 2.0 * math.pi
 MIN_STEP = 1e-12
 
 MODE_EULER = "explicit_euler"
@@ -72,14 +79,6 @@ class Termination(str, enum.Enum):
     # spherical-only labels: tolerance reached / domain guard exhausted
     STOPPED = "stopped"
     CONSTRAINT_HIT = "constraint_hit"
-
-
-def default_targets(mesh: WeightedTriangulation, geometry: Geometry) -> np.ndarray:
-    """Average curvature in the Euclidean gauge, zero otherwise."""
-    n = mesh.vertex_count
-    if geometry is Geometry.EUCLIDEAN:
-        return np.full(n, _TWO_PI * euler_characteristic(mesh) / n)
-    return np.zeros(n)
 
 
 @dataclass
@@ -111,18 +110,7 @@ class FlowConfig:
         steps = self.max_steps
         if steps is None:
             steps = 10**6 if self.mode == MODE_EULER else 100
-        if self.target_curvatures is None:
-            targets = default_targets(mesh, geometry)
-        else:
-            targets = np.asarray(self.target_curvatures, dtype=float)
-            if targets.shape != (mesh.vertex_count,):
-                raise ValueError("targets must give one value per vertex")
-            if geometry is Geometry.EUCLIDEAN:
-                want = _TWO_PI * euler_characteristic(mesh)
-                if abs(float(targets.sum()) - want) > 1e-8 * max(1.0, abs(want)):
-                    raise ValueError(
-                        f"Euclidean targets must sum to 2*pi*chi = {want}, got {targets.sum()}"
-                    )
+        targets = resolve_targets(mesh, geometry, self.target_curvatures)
         return replace(
             self, target_curvatures=targets, tol_curvature=float(tol), max_steps=int(steps)
         )
@@ -136,6 +124,18 @@ class FlowSample:
     k_max: float
     k_min: float
     step: float
+
+    @classmethod
+    def of(cls, metric: PackingMetric, curvatures: np.ndarray, t: float, step: float):
+        """The sample of one solver state."""
+        return cls(
+            t=t,
+            radii=metric.radii,
+            curvatures=curvatures,
+            k_max=float(curvatures.max()),
+            k_min=float(curvatures.min()),
+            step=step,
+        )
 
 
 @dataclass
@@ -174,7 +174,8 @@ class StepResult:
 
 
 class NewtonNonConvergenceError(RuntimeError):
-    """Newton failed to reach tolerance; carries the best iterate seen."""
+    """Newton failed to reach tolerance; carries the last iterate, which is
+    the best one seen."""
 
     def __init__(self, message, best_metric=None, residual=None, iterations=0):
         super().__init__(message)
@@ -187,34 +188,20 @@ class NewtonNonConvergenceError(RuntimeError):
 
 
 class _Evaluator:
-    """Curvature-as-function-of-u with domain guards."""
+    """Metric and curvature as functions of the flow coordinates u."""
 
     def __init__(self, mesh: WeightedTriangulation, geometry: Geometry):
         self.mesh = mesh
         self.geometry = geometry
-        self.face_vertices = mesh.face_vertices
 
-    def in_domain(self, u: np.ndarray) -> bool:
-        if not np.all(np.isfinite(u)):
-            return False
-        if self.geometry is Geometry.HYPERBOLIC:
-            return bool(np.all(u < 0.0))
-        if self.geometry is Geometry.SPHERICAL:
-            r = 2.0 * np.arctan(np.exp(u))
-            sums = r[self.face_vertices].sum(axis=1)
-            return bool(np.all(sums < math.pi))
-        with np.errstate(over="ignore"):
-            return bool(np.all(np.isfinite(np.exp(u))))
-
-    def curvatures(self, u: np.ndarray) -> np.ndarray:
-        metric = from_u(UCoordinates(geometry=self.geometry, u=u))
-        return curvature_state(self.mesh, metric).curvatures
+    def metric(self, u: np.ndarray) -> PackingMetric:
+        return from_u(UCoordinates(geometry=self.geometry, u=u))
 
     def try_curvatures(self, u: np.ndarray):
-        if not self.in_domain(u):
-            return None
+        """Curvatures at u, or None outside the geometric domain: from_u,
+        PackingMetric and curvature_state reject every such u."""
         try:
-            return self.curvatures(u)
+            return curvature_state(self.mesh, self.metric(u)).curvatures
         except (DomainError, DegenerateTriangleError):
             return None
 
@@ -231,6 +218,33 @@ def ricci_rhs(mesh: WeightedTriangulation, metric: PackingMetric, config: FlowCo
     cfg = config.resolved(mesh, metric.geometry)
     k = curvature_state(mesh, metric).curvatures
     return _project_gauge(-(k - cfg.target_curvatures), metric.geometry)
+
+
+def _solve(ev: _Evaluator, metric: PackingMetric, cfg: FlowConfig, step, on_accept):
+    """The solve loop of both solvers.
+
+    `step(u, curv)` returns the next accepted (u, curvatures), or None when
+    it finds none; `on_accept(k, u, curv)` sees the start (k = 0) and the
+    state after each accepted step k.  Returns (termination, u, curvatures,
+    accepted steps) with termination CONVERGED, DEGENERATED (no step found)
+    or MAX_STEPS.
+    """
+    u = np.asarray(to_u(metric).u, dtype=float)
+    curv = ev.try_curvatures(u)
+    if curv is None:
+        raise DomainError("initial metric is outside the geometric domain")
+    on_accept(0, u, curv)
+    k = 0
+    while float(np.abs(curv - cfg.target_curvatures).max()) > cfg.tol_curvature:
+        if k == cfg.max_steps:
+            return Termination.MAX_STEPS, u, curv, k
+        nxt = step(u, curv)
+        if nxt is None:
+            return Termination.DEGENERATED, u, curv, k
+        u, curv = nxt
+        k += 1
+        on_accept(k, u, curv)
+    return Termination.CONVERGED, u, curv, k
 
 
 def _attempt_step(ev, cfg, u, curv, h):
@@ -304,64 +318,29 @@ def run_flow(
     if cfg.mode != MODE_EULER:
         raise ValueError("run_flow integrates explicit_euler; use newton_solve for newton")
     ev = _Evaluator(mesh, geometry)
-    u = np.asarray(to_u(metric).u, dtype=float)
-    curv = ev.try_curvatures(u)
-    if curv is None:
-        raise DomainError("initial metric is outside the geometric domain")
     targets = cfg.target_curvatures
-    h = float(cfg.step_init)
+    # time, the step to try next, and the step that reached the current
+    # state (the start records the initial step size)
     t = 0.0
-    samples = [
-        FlowSample(
-            t=0.0,
-            radii=from_u(UCoordinates(geometry=geometry, u=u)).radii,
-            curvatures=curv,
-            k_max=float(curv.max()),
-            k_min=float(curv.min()),
-            step=h,
-        )
-    ]
-    termination = None
-    since_record = 0
-    for _ in range(cfg.max_steps):
-        resid = float(np.abs(curv - targets).max())
-        if resid <= cfg.tol_curvature:
-            termination = Termination.CONVERGED
-            break
+    h = h_used = float(cfg.step_init)
+    every = max(1, cfg.record_every)
+    samples = []
+
+    def step(u, curv):
+        nonlocal t, h, h_used
         res = _attempt_step(ev, cfg, u, curv, h)
         if not res.accepted:
-            termination = Termination.DEGENERATED
-            break
-        u = np.asarray(res.u.u, dtype=float)
-        curv = res.curvatures
-        t += res.h_used
-        h = res.h_next
-        since_record += 1
-        if since_record >= cfg.record_every:
-            since_record = 0
-            samples.append(
-                FlowSample(
-                    t=t,
-                    radii=from_u(UCoordinates(geometry=geometry, u=u)).radii,
-                    curvatures=curv,
-                    k_max=float(curv.max()),
-                    k_min=float(curv.min()),
-                    step=res.h_used,
-                )
-            )
-    if termination is None:
-        termination = Termination.MAX_STEPS
-    if since_record != 0:
-        samples.append(
-            FlowSample(
-                t=t,
-                radii=from_u(UCoordinates(geometry=geometry, u=u)).radii,
-                curvatures=curv,
-                k_max=float(curv.max()),
-                k_min=float(curv.min()),
-                step=h,
-            )
-        )
+            return None
+        t, h, h_used = t + res.h_used, res.h_next, res.h_used
+        return res.u.u, res.curvatures
+
+    def record(k, u, curv):
+        if k % every == 0:
+            samples.append(FlowSample.of(ev.metric(u), curv, t, h_used))
+
+    termination, u, curv, steps = _solve(ev, metric, cfg, step, record)
+    if steps % every:
+        samples.append(FlowSample.of(ev.metric(u), curv, t, h))
     if geometry is Geometry.SPHERICAL:
         if termination is Termination.CONVERGED:
             termination = Termination.STOPPED
@@ -413,63 +392,51 @@ def newton_solve(
 ):
     """Damped Newton on the curvature residual; returns (metric, iterations).
 
-    Euclidean and hyperbolic geometry only.  Each step solves the curvature
-    Jacobian (gauge-pinned in the Euclidean case) and backtracks until the
-    sup-norm residual strictly decreases inside the domain.  Raises
-    NewtonNonConvergenceError, carrying the best iterate, when tolerance is
+    Euclidean and hyperbolic geometry only.  The tolerance and iteration cap
+    default to Newton's (1e-10 / 100) whatever `config.mode` says.  Each step
+    solves the curvature Jacobian (gauge-pinned in the Euclidean case) and
+    backtracks until the sup-norm residual strictly decreases inside the
+    domain, so the last iterate is always the best one.  `on_iterate(k,
+    metric, curvatures)` sees the start (k = 0) and every iterate.  Raises
+    NewtonNonConvergenceError, carrying the last iterate, when tolerance is
     out of reach.
     """
     geometry = metric.geometry
     if geometry is Geometry.SPHERICAL:
         raise ValueError("newton_solve supports Euclidean and hyperbolic geometry only")
-    cfg = (config or FlowConfig(mode=MODE_NEWTON)).resolved(mesh, geometry)
+    cfg = replace(config or FlowConfig(), mode=MODE_NEWTON).resolved(mesh, geometry)
     ev = _Evaluator(mesh, geometry)
-    u = np.asarray(to_u(metric).u, dtype=float)
-    curv = ev.try_curvatures(u)
-    if curv is None:
-        raise DomainError("initial metric is outside the geometric domain")
     targets = cfg.target_curvatures
-    resid = float(np.abs(curv - targets).max())
-    best_u, best_resid = u.copy(), resid
-    if on_iterate is not None:
-        on_iterate(0, from_u(UCoordinates(geometry=geometry, u=u)), curv)
-    done = 0
-    for it in range(1, cfg.max_steps + 1):
-        if resid <= cfg.tol_curvature:
-            return from_u(UCoordinates(geometry=geometry, u=u)), done
+
+    def step(u, curv):
         grad = curv - targets
-        delta = _newton_direction(
-            mesh, from_u(UCoordinates(geometry=geometry, u=u)), grad, geometry
-        )
+        delta = _newton_direction(mesh, ev.metric(u), grad, geometry)
         if delta is None:
-            break
+            return None
         delta = _project_gauge(delta, geometry)
+        resid = float(np.abs(grad).max())
         alpha = 1.0
-        moved = False
         while alpha >= 2.0**-30:
             cand = u + alpha * delta
             k_cand = ev.try_curvatures(cand)
-            if k_cand is not None:
-                cand_resid = float(np.abs(k_cand - targets).max())
-                if cand_resid < resid:
-                    u, curv, resid = cand, k_cand, cand_resid
-                    moved = True
-                    break
+            if k_cand is not None and float(np.abs(k_cand - targets).max()) < resid:
+                return cand, k_cand
             alpha *= 0.5
-        if not moved:
-            break
-        done = it
-        if resid < best_resid:
-            best_u, best_resid = u.copy(), resid
+        return None
+
+    def report(k, u, curv):
         if on_iterate is not None:
-            on_iterate(it, from_u(UCoordinates(geometry=geometry, u=u)), curv)
-    if resid <= cfg.tol_curvature:
-        return from_u(UCoordinates(geometry=geometry, u=u)), done
+            on_iterate(k, ev.metric(u), curv)
+
+    termination, u, curv, iterations = _solve(ev, metric, cfg, step, report)
+    if termination is Termination.CONVERGED:
+        return ev.metric(u), iterations
+    resid = float(np.abs(curv - targets).max())
     raise NewtonNonConvergenceError(
-        f"newton stalled at residual {best_resid:.3e} (tol {cfg.tol_curvature:.1e})",
-        best_metric=from_u(UCoordinates(geometry=geometry, u=best_u)),
-        residual=best_resid,
-        iterations=done,
+        f"newton stalled at residual {resid:.3e} (tol {cfg.tol_curvature:.1e})",
+        best_metric=ev.metric(u),
+        residual=resid,
+        iterations=iterations,
     )
 
 
@@ -495,10 +462,7 @@ def potential_value(
     if u.geometry is not base.geometry:
         raise ValueError("endpoints must share a geometry")
     geometry = u.geometry
-    if targets is None:
-        targets = default_targets(mesh, geometry)
-    else:
-        targets = np.asarray(targets, dtype=float)
+    targets = resolve_targets(mesh, geometry, targets)
     ev = _Evaluator(mesh, geometry)
     ua = np.asarray(base.u, dtype=float)
     ub = np.asarray(u.u, dtype=float)

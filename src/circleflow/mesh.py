@@ -209,7 +209,14 @@ def validate(mesh: WeightedTriangulation) -> list:
     faces with the same edge triple; in strict mode no two faces on the same
     vertex triple; no two-edge disk (a parallel edge pair whose two faces
     share their remaining edges); connectivity.
+
+    A vertex on no face is reported alone, before any per-vertex work, so a
+    claimed vertex count far beyond the face table costs nothing.
     """
+    used = {v for face in mesh.faces for v in face.vertices}
+    if len(used) != mesh.vertex_count:
+        first = min(set(range(len(used) + 1)) - used)
+        return [f"vertex {first} lies on no face ({len(used)} of {mesh.vertex_count} do)"]
     bad = []
     for idx, e in enumerate(mesh.edges):
         if e.a == e.b:

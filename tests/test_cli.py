@@ -53,6 +53,33 @@ def test_check_subset_cap_undetermined(capsys):
     assert "skipped" in out and "overall: undetermined" in out
 
 
+def _with_targets(path, fixture, targets):
+    mesh, metric, _ = files.parse_mesh(FIX(fixture))
+    files.write_mesh(path, mesh, metric=metric, targets=targets)
+    return str(path)
+
+
+def test_check_honours_targets(tmp_path, capsys):
+    # every target -2 sums to -22 < 2*pi*chi = -4*pi: no hyperbolic metric exists
+    low = _with_targets(tmp_path / "low.json", "genus2.json", np.full(11, -2.0))
+    code = cli.run(["check", low, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 4 and doc["overall"] == "fails"
+    assert doc["subset"]["witness"] == list(range(11))
+    # Euclidean targets must sum to 2*pi*chi = 0 on the torus
+    code = cli.run(["check", _with_targets(tmp_path / "t7.json", "torus7.json", np.full(7, 0.5))])
+    captured = capsys.readouterr()
+    assert code == 3 and "overall" not in captured.out and "2*pi*chi" in captured.err
+    # other hyperbolic targets: the subset scan, undetermined over the cap
+    path = _with_targets(tmp_path / "ok.json", "genus2.json", np.full(11, -1.0))
+    assert cli.run(["check", path]) == 0
+    assert "overall: holds" in capsys.readouterr().out
+    assert cli.run(["check", path, "--subset-cap", "5"]) == 4
+    out = capsys.readouterr().out
+    assert "subset scan skipped (11 vertices > cap 5)\n" in out
+    assert "overall: undetermined" in out
+
+
 def test_flow_writes_trace_and_mesh(tmp_path, capsys):
     trace_path = tmp_path / "run.jsonl"
     mesh_path = tmp_path / "limit.json"
@@ -85,6 +112,30 @@ def test_flow_newton_mode(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "newton converged in" in out
+
+
+def test_flow_newton_writes_trace_and_mesh(tmp_path, capsys):
+    trace_path, mesh_path = tmp_path / "newton.jsonl", tmp_path / "solved.json"
+    argv = ["flow", FIX("genus2.json"), "--mode", "newton", "--out", str(trace_path),
+            "--save-mesh", str(mesh_path), "--json"]
+    code = cli.run(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["termination"] == "converged"
+    trace, report = files.read_trace(trace_path)
+    assert trace.termination is cf.Termination.CONVERGED and report is None
+    assert [s.t for s in trace.samples] == list(range(doc["iterations"] + 1))
+    mesh, metric, targets = files.parse_mesh(mesh_path)
+    assert np.abs(cf.curvature_state(mesh, metric).curvatures - targets).max() <= 1e-10
+
+
+def test_flow_newton_nonconvergence(tmp_path, capsys):
+    trace_path = tmp_path / "stall.jsonl"
+    argv = ["flow", FIX("sphere9_violating.json"), "--mode", "newton", "--out", str(trace_path)]
+    code = cli.run(argv)
+    assert code == 5
+    assert "newton did not converge" in capsys.readouterr().out
+    trace, _ = files.read_trace(trace_path)
+    assert trace.termination is cf.Termination.MAX_STEPS
 
 
 def test_flow_newton_rejects_spherical(capsys):

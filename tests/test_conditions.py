@@ -187,6 +187,44 @@ def test_full_report_shapes():
     assert r_bad.overall == "fails"
 
 
+# Newton toward a target above 2*pi drives one radius to infinity, where the
+# Hessian degenerates before the solver gives up
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:Matrix is exactly singular")
+def test_full_report_honours_targets():
+    with pytest.raises(ValueError, match="2\\*pi\\*chi"):
+        # Euclidean targets must sum to 2*pi*chi = 0 on the torus
+        cf.full_report(meshes.torus_7(), cf.Geometry.EUCLIDEAN, targets=np.full(7, 0.5))
+    g2 = meshes.genus_2()
+    hyp = cf.Geometry.HYPERBOLIC
+    start = cf.PackingMetric(geometry=hyp, radii=np.full(11, 0.5))
+    # the targets sum to -22 <= 2*pi*chi = -4*pi: the whole vertex set is the witness
+    low = cf.full_report(g2, hyp, targets=np.full(11, -2.0))
+    assert low.overall == "fails" and low.loops is None
+    assert low.subset.witness == tuple(range(11)) and low.subset.min_margin < 0
+    # no positive cone angle reaches a target of 2*pi or more
+    high = np.full(11, -1.0)
+    high[3] = 7.0
+    r_high = cf.full_report(g2, hyp, targets=high)
+    assert r_high.overall == "fails" and r_high.subset.witness == (3,)
+    # otherwise the subset scan decides: {0} cannot reach -30 < subset_bound = -8*pi
+    deep = np.full(11, 2.0)
+    deep[0] = -30.0
+    r_deep = cf.full_report(g2, hyp, targets=deep)
+    assert r_deep.overall == "fails" and r_deep.subset.witness == (0,)
+    for targets in (np.full(11, -2.0), high, deep):
+        with pytest.raises(cf.NewtonNonConvergenceError):
+            cf.newton_solve(g2, start, cf.FlowConfig(target_curvatures=targets, max_steps=60))
+    ok = np.full(11, -1.0)
+    r_ok = cf.full_report(g2, hyp, targets=ok)
+    assert r_ok.overall == "holds" and r_ok.subset.subsets_checked == 2**11 - 2
+    assert r_ok.loops is None
+    cf.newton_solve(g2, start, cf.FlowConfig(target_curvatures=ok))
+    # ... and over the cap nothing does: the loop screen holds only for zero targets
+    capped = cf.full_report(g2, hyp, targets=ok, subset_cap=5)
+    assert capped.overall == "undetermined" and capped.subset.status == "skipped"
+    assert capped.loops is None
+
+
 def test_thread_override(monkeypatch):
     monkeypatch.setenv("CIRCLEFLOW_THREADS", "2")
     v = cf.check_subset_inequalities(meshes.torus_7())

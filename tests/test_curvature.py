@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,12 @@ def test_u_forms():
     # hyperbolic u must stay negative
     with pytest.raises(cf.DomainError):
         cf.from_u(cf.UCoordinates(geometry=cf.Geometry.HYPERBOLIC, u=np.array([-1.0, 0.5])))
+    # an overflowing exp is a silent DomainError, not a RuntimeWarning
+    for geometry in (cf.Geometry.EUCLIDEAN, cf.Geometry.SPHERICAL):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cf.DomainError):
+                cf.from_u(cf.UCoordinates(geometry=geometry, u=np.array([0.0, 800.0])))
 
 
 def test_equal_radii_closed_forms():

@@ -101,6 +101,19 @@ def test_validation_errors_carry_violations(tmp_path):
     assert len(exc.value.violations) >= 1
 
 
+def test_vertex_count_beyond_the_faces_is_one_violation(tmp_path):
+    # a small file claiming a huge vertex count costs no per-vertex work
+    p = tmp_path / "m.json"
+    files.write_mesh(p, meshes.tetrahedron(), geometry=cf.Geometry.EUCLIDEAN)
+    doc = json.loads(p.read_text())
+    for count in (5, 10**6):
+        doc["vertices"] = count
+        p.write_text(json.dumps(doc))
+        with pytest.raises(files.MeshValidationError) as exc:
+            files.parse_mesh(p)
+        assert exc.value.violations == [f"vertex 4 lies on no face (4 of {count} do)"]
+
+
 def test_write_mesh_needs_geometry_or_metric(tmp_path):
     with pytest.raises(ValueError):
         files.write_mesh(tmp_path / "m.json", meshes.tetrahedron())

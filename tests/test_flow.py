@@ -116,6 +116,9 @@ def test_record_every_thins_but_keeps_tail():
     assert len(thin.samples) < len(full.samples)
     assert thin.samples[-1].t == full.samples[-1].t
     assert set(np.round(thin.times(), 12)) <= set(np.round(full.times(), 12))
+    # any value up to 1 keeps every step
+    every, _ = cf.run_flow(t7, _euclidean(r0), cf.FlowConfig(record_every=0))
+    assert np.array_equal(every.times(), full.times())
 
 
 def test_max_steps_termination():
@@ -124,6 +127,19 @@ def test_max_steps_termination():
     trace, report = cf.run_flow(t7, m, cf.FlowConfig(max_steps=3))
     assert trace.termination is cf.Termination.MAX_STEPS
     assert report is None
+
+
+def test_last_allowed_step_reaching_tolerance_converges():
+    # the free run from these radii reaches tolerance on its 38th step
+    t7 = meshes.torus_7()
+    m = _euclidean(np.random.default_rng(4).uniform(0.5, 2.0, 7))
+    free, _ = cf.run_flow(t7, m)
+    assert free.termination is cf.Termination.CONVERGED and len(free.samples) == 39
+    capped, report = cf.run_flow(t7, m, cf.FlowConfig(max_steps=38))
+    assert capped.termination is cf.Termination.CONVERGED and report is not None
+    assert capped.samples[-1].t == free.samples[-1].t
+    short, report = cf.run_flow(t7, m, cf.FlowConfig(max_steps=37))
+    assert short.termination is cf.Termination.MAX_STEPS and report is None
 
 
 def test_degeneration_detected():
@@ -262,13 +278,25 @@ def test_newton_nonconvergence_carries_best_iterate():
     m = _euclidean(np.ones(9))
     seen = []
     with pytest.raises(cf.NewtonNonConvergenceError) as exc:
-        cf.newton_solve(vs, m, cf.FlowConfig(max_steps=40), on_iterate=lambda it, *_: seen.append(it))
+        cf.newton_solve(vs, m, cf.FlowConfig(max_steps=40), on_iterate=lambda *it: seen.append(it))
     err = exc.value
     # the line search stalls long before max_steps; the count is of completed iterations
     assert err.iterations == 5
-    assert err.iterations == seen[-1]
+    assert err.iterations == seen[-1][0]
     assert err.residual > 1e-3
     assert isinstance(err.best_metric, cf.PackingMetric)
+    # the line search only accepts a lower residual, so the last iterate is the best
+    _, last_metric, last_k = seen[-1]
+    assert np.array_equal(err.best_metric.radii, last_metric.radii)
+    assert err.residual == np.abs(last_k - cf.default_targets(vs, cf.Geometry.EUCLIDEAN)).max()
+
+
+def test_newton_uses_newton_defaults_under_a_flow_config():
+    # an explicit_euler config must not lend Newton the flow's tolerance 1e-8
+    t7 = meshes.torus_7()
+    m = _euclidean(np.random.default_rng(4).uniform(0.5, 2.0, 7))
+    sol, _ = cf.newton_solve(t7, m, cf.FlowConfig(target_curvatures=np.zeros(7)))
+    assert np.abs(cf.curvature_state(t7, sol).curvatures).max() <= 1e-10
 
 
 def test_newton_agrees_with_flow(rng):
