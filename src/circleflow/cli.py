@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .conditions import full_report, subset_bound
+from .conditions import _subset_margins, full_report
 from .curvature import PackingMetric
 from .files import MeshFormatError, MeshValidationError, parse_mesh, write_mesh, write_trace
 from .flow import (
@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("mesh", help="mesh JSON file")
     p_check.add_argument("--subset-cap", type=int, default=20, metavar="N",
                          help="skip the exhaustive subset scan above N vertices")
-    p_check.add_argument("--threads", type=int, default=None,
-                         help="scan worker threads (default: CIRCLEFLOW_THREADS or auto)")
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
     p_check.set_defaults(func=cmd_check)
 
@@ -109,9 +107,7 @@ def cmd_check(args, mesh, metric, targets) -> int:
         f"{mesh.face_count} faces, euler characteristic {chi}, geometry {geometry.tag}"
     )
     try:
-        report = full_report(
-            mesh, geometry, targets=targets, subset_cap=args.subset_cap, threads=args.threads
-        )
+        report = full_report(mesh, geometry, targets=targets, subset_cap=args.subset_cap)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -149,8 +145,7 @@ def cmd_check(args, mesh, metric, targets) -> int:
             s = report.subset
             if s.status == "skipped":
                 print(
-                    f"subset scan skipped ({mesh.vertex_count} vertices > cap "
-                    f"{args.subset_cap})" + ("; loop screen below" if report.loops else "")
+                    f"subset scan skipped ({mesh.vertex_count} vertices > cap {args.subset_cap})"
                 )
             else:
                 print(
@@ -182,17 +177,13 @@ def _degeneration_hint(mesh, targets, radii):
     """Most negative target-sum-minus-bound margin over singletons and the
     small-radius subset; the flow degenerates toward the tightest of these."""
     n = mesh.vertex_count
-    candidates = [(i,) for i in range(n)]
-    med = float(np.median(radii))
-    small = tuple(i for i in range(n) if radii[i] < 0.05 * med)
-    if 0 < len(small) < n:
-        candidates.append(small)
-    worst = None
-    for sub in candidates:
-        margin = float(sum(targets[i] for i in sub)) - subset_bound(mesh, sub)
-        if worst is None or margin < worst[0]:
-            worst = (margin, sub)
-    return worst
+    member = np.eye(n, dtype=bool)
+    small = radii < 0.05 * float(np.median(radii))
+    if 0 < small.sum() < n:
+        member = np.vstack([member, small])
+    margins = _subset_margins(mesh, targets, member)
+    k = int(np.argmin(margins))
+    return float(margins[k]), tuple(int(v) for v in np.flatnonzero(member[k]))
 
 
 def _newton_trace(mesh, metric, config, targets):
@@ -295,12 +286,11 @@ def cmd_flow(args, mesh, metric, targets) -> int:
         if geometry is Geometry.SPHERICAL:
             print("stopped: spherical mode, no convergence guarantee")
         if term is Termination.DEGENERATED:
-            hint = _degeneration_hint(mesh, trace.targets, np.asarray(final.radii))
-            if hint is not None:
-                print(
-                    f"degeneration hint: tightest probed subset {set(hint[1])} has "
-                    f"target-sum minus bound {hint[0]:.6g}"
-                )
+            margin, subset = _degeneration_hint(mesh, trace.targets, np.asarray(final.radii))
+            print(
+                f"degeneration hint: tightest probed subset {set(subset)} has "
+                f"target-sum minus bound {margin:.6g}"
+            )
     if term in (Termination.CONVERGED, Termination.STOPPED):
         return EXIT_OK
     return EXIT_NO_CONVERGENCE

@@ -8,10 +8,24 @@ when the radii on I shrink to zero, and equals
     2*pi*chi(F_I) - sum over link pairs of (pi - weight),
 
 where F_I is the subcomplex spanned by I and a link pair is a face corner at
-a vertex of I whose opposite edge avoids I.  `check_subset_inequalities` runs
-that test over all proper subsets (exhaustively, for meshes small enough to
-enumerate); `subset_bound` exposes the bound itself and `degeneration_probe`
-demonstrates the convergence numerically.
+a vertex of I whose opposite edge avoids I.  Every margin target_sum(I) -
+bound(I) is computed from the face-corner table alone, as
+
+    sum over v in I of (target_v - 2*pi) + sum over faces f of term_f(I),
+
+with term_f = pi when f has two or three corners in I, pi - w (w the weight
+of the edge opposite the corner) when it has one, and 0 otherwise.  The two
+forms agree: each edge of F_I borders two faces, so 2*E_I = 3*F_I + F_2,
+with F_2 the faces having exactly two corners in I, and therefore
+
+    2*pi*chi(F_I) = 2*pi*|I| - pi*(F_I + F_2),
+
+while the faces with exactly one corner in I are the link pairs.  For I = V
+the margin is target_sum - 2*pi*chi.
+`check_subset_inequalities` runs that test over all proper subsets
+(exhaustively, for meshes small enough to enumerate); `subset_bound` exposes
+the bound itself and `degeneration_probe` demonstrates the convergence
+numerically.
 
 On surfaces of negative Euler characteristic with zero hyperbolic targets
 the same content reduces to two local weight conditions on short loops: a
@@ -19,16 +33,15 @@ null-homotopic 3-loop with weight sum >= pi must bound a face, and a
 null-homotopic 4-loop with weight sum >= 2*pi must bound a pair of adjacent
 faces.  `check_loop_conditions` tests both, reporting "undetermined" for
 closed walks whose homotopy class the region-cutting test cannot decide.
-Other hyperbolic targets also need each target below 2*pi and a target sum
-above 2*pi*chi; `full_report` tests those before the subset scan.
+Hyperbolic targets also need each target below 2*pi and a target sum above
+2*pi*chi; `full_report` tests those before the loop screen or the subset
+scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,12 +49,7 @@ import numpy as np
 
 from .curvature import PackingMetric, curvature_state, resolve_targets
 from .geometry import Geometry
-from .mesh import (
-    WeightedTriangulation,
-    enumerate_short_loops,
-    euler_characteristic,
-    subcomplex_and_link,
-)
+from .mesh import WeightedTriangulation, enumerate_short_loops, euler_characteristic
 
 __all__ = [
     "ConditionReport",
@@ -68,12 +76,26 @@ _CHUNK = 1 << 15
 _WORST_KEEP = 10
 
 
+def _subset_margins(mesh: WeightedTriangulation, targets: np.ndarray, member) -> np.ndarray:
+    """Margins target_sum(I) - bound(I), one per row of the boolean
+    membership matrix `member` (subsets x vertices); see the module docstring."""
+    corners = member[:, mesh.face_vertices]
+    count = corners.sum(axis=2, dtype=np.int8)
+    faces = (corners * (math.pi - mesh.face_weights)).sum(axis=2)
+    faces[count >= 2] = math.pi
+    return member @ (targets - _TWO_PI) + faces.sum(axis=1)
+
+
 def subset_bound(mesh: WeightedTriangulation, subset) -> float:
-    """Limiting curvature sum over `subset` when its radii collapse to zero."""
-    stats = subcomplex_and_link(mesh, subset)
-    weights = mesh.edge_weights
-    link = math.fsum(math.pi - float(weights[e]) for e, _v in stats.link_pairs)
-    return 2.0 * math.pi * stats.euler_char - link
+    """Limiting curvature sum over `subset` when its radii collapse to zero
+    (2*pi*chi for the whole vertex set)."""
+    n = mesh.vertex_count
+    ids = [int(v) for v in subset]
+    if not ids or not all(0 <= v < n for v in ids):
+        raise ValueError("subset must be a nonempty set of vertex ids")
+    member = np.zeros((1, n), dtype=bool)
+    member[0, ids] = True
+    return -float(_subset_margins(mesh, np.zeros(n), member)[0])
 
 
 @dataclass(frozen=True)
@@ -85,7 +107,6 @@ class SubsetConditionVerdict:
     near_ties: int = 0  # margins in (STRICT_TOL, NEAR_TOL]
     worst_bounds: tuple = ()  # ((margin, subset), ...) for the tightest subsets
     subsets_checked: int = 0
-    loop_fallback: Optional[tuple] = None  # loop verdicts when the scan is skipped
 
 
 @dataclass(frozen=True)
@@ -114,16 +135,6 @@ class DegenerationRow:
     gap: float
 
 
-def _thread_count(threads) -> int:
-    if threads is None:
-        env = os.environ.get("CIRCLEFLOW_THREADS", "").strip()
-        threads = int(env) if env else 0
-    threads = int(threads)
-    if threads <= 0:
-        threads = min(8, os.cpu_count() or 1)
-    return threads
-
-
 def _mask_vertices(mask: int) -> tuple:
     out = []
     v = 0
@@ -136,38 +147,12 @@ def _mask_vertices(mask: int) -> tuple:
     return tuple(out)
 
 
-def _scan_tables(mesh: WeightedTriangulation, targets: np.ndarray):
-    n = mesh.vertex_count
-    vmasks = np.array([1 << v for v in range(n)], dtype=np.uint64)
-    emasks = np.array([(1 << e.a) | (1 << e.b) for e in mesh.edges], dtype=np.uint64)
-    fv = mesh.face_vertices
-    fmasks = np.array(
-        [(1 << int(i)) | (1 << int(j)) | (1 << int(k)) for i, j, k in fv], dtype=np.uint64
-    )
-    corner_bit = []
-    corner_others = []
-    for i, j, k in fv:
-        bits = (1 << int(i), 1 << int(j), 1 << int(k))
-        for s in range(3):
-            corner_bit.append(bits[s])
-            corner_others.append(bits[(s + 1) % 3] | bits[(s + 2) % 3])
-    corner_bit = np.array(corner_bit, dtype=np.uint64)
-    corner_others = np.array(corner_others, dtype=np.uint64)
-    corner_vals = (math.pi - mesh.face_weights).ravel()
-    return vmasks, np.asarray(targets, dtype=float), emasks, fmasks, corner_bit, corner_others, corner_vals
-
-
-def _scan_chunk(start: int, stop: int, tables):
+def _scan_chunk(mesh: WeightedTriangulation, targets: np.ndarray, start: int, stop: int):
     """Margins target_sum(I) - bound(I) for subset masks in [start, stop)."""
-    vmasks, targets, emasks, fmasks, corner_bit, corner_others, corner_vals = tables
     masks = np.arange(start, stop, dtype=np.uint64)
-    col = masks[:, None]
-    pop = np.bitwise_count(masks).astype(float)
-    lhs = ((col & vmasks) != 0) @ targets
-    e_in = ((col & emasks) == emasks).sum(axis=1)
-    f_in = ((col & fmasks) == fmasks).sum(axis=1)
-    link = (((col & corner_bit) != 0) & ((col & corner_others) == 0)) @ corner_vals
-    margin = lhs + link + _TWO_PI * ((e_in - f_in).astype(float) - pop)
+    bits = np.arange(mesh.vertex_count, dtype=np.uint64)
+    member = ((masks[:, None] >> bits) & np.uint64(1)).astype(bool)
+    margin = _subset_margins(mesh, targets, member)
 
     mn = int(np.argmin(margin))
     keep = min(_WORST_KEEP, margin.size)
@@ -182,7 +167,7 @@ def _scan_chunk(start: int, stop: int, tables):
     best = None
     if n_viol:
         vm = masks[violating]
-        vp = pop[violating].astype(np.int64)
+        vp = member[violating].sum(axis=1)
         first = np.lexsort((vm, vp))[0]
         best = (int(vp[first]), int(vm[first]))
     near = int(((margin > STRICT_TOL) & (margin <= NEAR_TOL)).sum())
@@ -194,16 +179,12 @@ def check_subset_inequalities(
     *,
     targets: Optional[np.ndarray] = None,
     subset_cap: int = 20,
-    threads: Optional[int] = None,
 ) -> SubsetConditionVerdict:
     """Exhaustive strict-inequality test target_sum(I) > bound(I) over proper I.
 
-    Subsets are uint64 bitmasks scanned in vectorized chunks (optionally in
-    parallel; `threads` defaults to the CIRCLEFLOW_THREADS environment
-    variable, else min(8, cpu count)).  Default targets prescribe the average
-    curvature 2*pi*chi/N at every vertex.  Meshes with more than `subset_cap`
-    vertices skip the scan (status "skipped") and attach the loop verdicts as
-    a partial screen.
+    Subsets are uint64 bitmasks scanned in vectorized chunks.  Default targets
+    prescribe the average curvature 2*pi*chi/N at every vertex.  Meshes with
+    more than `subset_cap` vertices skip the scan (status "skipped").
     """
     n = mesh.vertex_count
     if n < 2:
@@ -214,19 +195,13 @@ def check_subset_inequalities(
     if targets.shape != (n,):
         raise ValueError("targets must give one value per vertex")
     if n > subset_cap:
-        return SubsetConditionVerdict(
-            status="skipped", min_margin=math.nan, loop_fallback=check_loop_conditions(mesh)
-        )
+        return SubsetConditionVerdict(status="skipped", min_margin=math.nan)
 
-    tables = _scan_tables(mesh, targets)
     total = (1 << n) - 2  # proper nonempty masks are 1 .. 2^n - 2
-    jobs = [(s, min(s + _CHUNK, total + 1)) for s in range(1, total + 1, _CHUNK)]
-    workers = _thread_count(threads)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ab: _scan_chunk(ab[0], ab[1], tables), jobs))
-    else:
-        results = [_scan_chunk(s, e, tables) for s, e in jobs]
+    results = [
+        _scan_chunk(mesh, targets, s, min(s + _CHUNK, total + 1))
+        for s in range(1, total + 1, _CHUNK)
+    ]
 
     min_pair = min(r[0] for r in results)
     violations = sum(r[1] for r in results)
@@ -317,14 +292,16 @@ def degeneration_probe(
 def _hyperbolic_bounds(mesh: WeightedTriangulation, targets: np.ndarray):
     """Bounds on hyperbolic targets beyond the proper-subset inequalities:
     each K_i < 2*pi (cone angles are positive) and sum K = 2*pi*chi + area >
-    2*pi*chi.  Returns a "fails" verdict naming the vertex or the whole vertex
-    set, with the bound's margin, or None when both hold.
+    2*pi*chi, the subset margin of the whole vertex set.  Returns a "fails"
+    verdict naming the vertex or the whole vertex set, with the bound's
+    margin, or None when both hold.
     """
     top = int(np.argmax(targets))
-    whole = tuple(range(mesh.vertex_count))
+    n = mesh.vertex_count
+    whole = _subset_margins(mesh, targets, np.ones((1, n), dtype=bool))[0]
     bounds = (
         (_TWO_PI - float(targets[top]), (top,)),
-        (float(targets.sum()) - _TWO_PI * euler_characteristic(mesh), whole),
+        (float(whole), tuple(range(n))),
     )
     for checked, (margin, witness) in enumerate(bounds, start=1):
         if margin <= STRICT_TOL:
@@ -345,14 +322,14 @@ def full_report(
     *,
     targets: Optional[np.ndarray] = None,
     subset_cap: int = 20,
-    threads: Optional[int] = None,
 ) -> ConditionReport:
     """Route the geometry to its condition set and fold into one verdict.
 
     Euclidean -> subset scan ("undetermined" when skipped over the cap);
-    targets must sum to 2*pi*chi (ValueError otherwise).  Hyperbolic -> loop
-    conditions for zero targets, else `_hyperbolic_bounds`, then the subset
-    scan.  Spherical -> "not_applicable" (no existence criterion to test).
+    targets must sum to 2*pi*chi (ValueError otherwise).  Hyperbolic ->
+    `_hyperbolic_bounds`, then the loop conditions for zero targets and the
+    subset scan for others.  Spherical -> "not_applicable" (no existence
+    criterion to test).
     """
     geometry = Geometry(geometry)
     chi = euler_characteristic(mesh)
@@ -361,33 +338,27 @@ def full_report(
             geometry=geometry, euler_char=chi, overall="not_applicable", subset=None, loops=None
         )
     targets = resolve_targets(mesh, geometry, targets)
-    if geometry is Geometry.HYPERBOLIC and not np.any(targets):
-        v3, v4 = check_loop_conditions(mesh)
-        statuses = {v3.status, v4.status}
-        if "fails" in statuses:
-            overall = "fails"
-        elif "undetermined" in statuses:
-            overall = "undetermined"
-        else:
-            overall = "holds"
-        return ConditionReport(
-            geometry=geometry, euler_char=chi, overall=overall, subset=None, loops=(v3, v4)
-        )
     verdict = None
     if geometry is Geometry.HYPERBOLIC:
         verdict = _hyperbolic_bounds(mesh, targets)
+        if verdict is None and not np.any(targets):
+            v3, v4 = check_loop_conditions(mesh)
+            statuses = {v3.status, v4.status}
+            if "fails" in statuses:
+                overall = "fails"
+            elif "undetermined" in statuses:
+                overall = "undetermined"
+            else:
+                overall = "holds"
+            return ConditionReport(
+                geometry=geometry, euler_char=chi, overall=overall, subset=None, loops=(v3, v4)
+            )
         if verdict is None and mesh.vertex_count > subset_cap:
             # the loop screen holds only for zero targets: nothing decides
             verdict = SubsetConditionVerdict(status="skipped", min_margin=math.nan)
     if verdict is None:
-        verdict = check_subset_inequalities(
-            mesh, targets=targets, subset_cap=subset_cap, threads=threads
-        )
+        verdict = check_subset_inequalities(mesh, targets=targets, subset_cap=subset_cap)
     overall = {"holds": "holds", "fails": "fails", "skipped": "undetermined"}[verdict.status]
     return ConditionReport(
-        geometry=geometry,
-        euler_char=chi,
-        overall=overall,
-        subset=verdict,
-        loops=verdict.loop_fallback,
+        geometry=geometry, euler_char=chi, overall=overall, subset=verdict, loops=None
     )

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -368,17 +369,21 @@ def run_flow(
 
 
 def _newton_direction(mesh, metric, grad, geometry):
-    hess = curvature_hessian(mesh, metric).tocsc()
-    n = grad.size
-    if geometry is Geometry.EUCLIDEAN:
-        # bordered system pins the scale gauge: solve on sum(delta) = 0
-        ones = np.ones((n, 1))
-        kkt = sp.bmat([[hess, ones], [ones.T, None]], format="csc")
-        rhs = np.concatenate([-grad, [0.0]])
-        sol = spla.spsolve(kkt, rhs)
-        delta = sol[:n]
-    else:
-        delta = spla.spsolve(hess, -grad)
+    # a degenerate face or a singular Hessian shows up as a non-finite delta,
+    # which ends the solve; the warnings on the way there are silenced
+    with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        hess = curvature_hessian(mesh, metric).tocsc()
+        n = grad.size
+        if geometry is Geometry.EUCLIDEAN:
+            # bordered system pins the scale gauge: solve on sum(delta) = 0
+            ones = np.ones((n, 1))
+            kkt = sp.bmat([[hess, ones], [ones.T, None]], format="csc")
+            rhs = np.concatenate([-grad, [0.0]])
+            sol = spla.spsolve(kkt, rhs)
+            delta = sol[:n]
+        else:
+            delta = spla.spsolve(hess, -grad)
     if not np.all(np.isfinite(delta)):
         return None
     return delta

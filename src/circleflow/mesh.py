@@ -23,11 +23,9 @@ __all__ = [
     "Edge",
     "Face",
     "Loop",
-    "SubcomplexStats",
     "WeightedTriangulation",
     "enumerate_short_loops",
     "euler_characteristic",
-    "subcomplex_and_link",
     "validate",
 ]
 
@@ -283,50 +281,6 @@ def validate(mesh: WeightedTriangulation) -> list:
         bad.append("mesh is disconnected")
 
     return bad
-
-
-# -- subcomplexes and links ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubcomplexStats:
-    """Cells spanned by a vertex subset, plus the (edge, vertex) link pairs.
-
-    A link pair (e, v) has v in the subset, both endpoints of e outside it,
-    and some face containing both; pairs are listed once per witnessing face.
-    """
-
-    vertex_count: int
-    edge_count: int
-    face_count: int
-    euler_char: int
-    link_pairs: tuple
-
-
-def subcomplex_and_link(mesh: WeightedTriangulation, subset) -> SubcomplexStats:
-    inside = frozenset(int(v) for v in subset)
-    if not inside or not inside < set(range(mesh.vertex_count)):
-        raise ValueError("subset must be a proper nonempty set of vertex ids")
-    e_in = sum(1 for e in mesh.edges if e.a in inside and e.b in inside)
-    f_in = 0
-    pairs = []
-    for face in mesh.faces:
-        i, j, k = face.vertices
-        ins = (i in inside, j in inside, k in inside)
-        if all(ins):
-            f_in += 1
-            continue
-        for s in range(3):
-            if ins[s] and not ins[(s + 1) % 3] and not ins[(s + 2) % 3]:
-                pairs.append((face.edges[s], face.vertices[s]))
-    v_in = len(inside)
-    return SubcomplexStats(
-        vertex_count=v_in,
-        edge_count=e_in,
-        face_count=f_in,
-        euler_char=v_in - e_in + f_in,
-        link_pairs=tuple(pairs),
-    )
 
 
 # -- short loops and null-homotopy --------------------------------------------

@@ -80,6 +80,17 @@ def test_check_honours_targets(tmp_path, capsys):
     assert "overall: undetermined" in out
 
 
+def test_check_zero_hyperbolic_targets_on_a_torus(tmp_path, capsys):
+    # no hyperbolic metric has zero curvature on a surface with chi >= 0
+    mesh = meshes.torus_7()
+    path = tmp_path / "t7h.json"
+    files.write_mesh(path, mesh, metric=cf.PackingMetric(cf.Geometry.HYPERBOLIC, np.full(7, 0.5)))
+    code = cli.run(["check", str(path), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 4 and doc["overall"] == "fails" and doc["loops"] is None
+    assert doc["subset"]["witness"] == list(range(7))
+
+
 def test_flow_writes_trace_and_mesh(tmp_path, capsys):
     trace_path = tmp_path / "run.jsonl"
     mesh_path = tmp_path / "limit.json"
@@ -157,6 +168,7 @@ def test_flow_degeneration_exit_and_hint(capsys):
     out = capsys.readouterr().out
     assert code == 5
     assert "degenerated" in out
+    assert "degeneration hint: tightest probed subset {6} has target-sum minus bound -0.17" in out
 
 
 def test_layout_svg(tmp_path, capsys):

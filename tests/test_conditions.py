@@ -1,13 +1,18 @@
 """Existence conditions: subset bounds, loop thresholds, degeneration probes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import circleflow as cf
-from circleflow import meshes
+from circleflow import files, meshes
+from circleflow.conditions import NEAR_TOL, STRICT_TOL
 from conftest import draw_metric
+from subset_oracle import oracle_bound
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_subset_bound_tetrahedron_values():
@@ -37,6 +42,19 @@ def test_subset_bound_additive_over_components():
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def test_zero_hyperbolic_targets_need_negative_euler_characteristic():
+    # total curvature 2*pi*chi + area exceeds the target sum 0 when chi >= 0
+    for mesh in (meshes.torus_7(), meshes.tetrahedron()):
+        r = cf.full_report(mesh, cf.Geometry.HYPERBOLIC)
+        assert r.overall == "fails" and r.loops is None
+        assert r.subset.witness == tuple(range(mesh.vertex_count))
+        assert r.subset.min_margin == pytest.approx(-2 * math.pi * mesh.euler_characteristic())
+    # genus 2 still takes the loop route
+    for mesh, overall in ((meshes.genus_2(), "holds"), (meshes.violating_genus_2(), "fails")):
+        r = cf.full_report(mesh, cf.Geometry.HYPERBOLIC)
+        assert r.overall == overall and r.subset is None and len(r.loops) == 2
+
+
 def test_check_subset_inequalities_torus():
     t7 = meshes.torus_7()
     v = cf.check_subset_inequalities(t7)
@@ -57,8 +75,9 @@ def test_check_subset_small_and_capped():
     t7 = meshes.torus_7()
     capped = cf.check_subset_inequalities(t7, subset_cap=3)
     assert capped.status == "skipped"
-    assert capped.loop_fallback is not None
-    assert capped.loop_fallback[0].status == "holds"
+    # over the cap a Euclidean verdict is undetermined, with no loop screen
+    report = cf.full_report(t7, cf.Geometry.EUCLIDEAN, subset_cap=3)
+    assert report.overall == "undetermined" and report.loops is None
 
 
 def test_violating_sphere_witness():
@@ -107,6 +126,63 @@ def test_near_ties_reported():
     assert v.status == "holds"
     assert v.near_ties == 2
     assert v.min_margin == pytest.approx(6e-7, rel=1e-6)
+
+
+def _oracle_meshes():
+    out = {p.name: files.parse_mesh(p)[0] for p in sorted(FIXTURES.glob("*.json"))}
+    out.update(
+        tetrahedron=meshes.tetrahedron(),
+        octahedron=meshes.octahedron(),
+        torus_7=meshes.torus_7(),
+        genus_2=meshes.genus_2(),
+        projective_plane=meshes.minimal_projective_plane(math.pi / 2),
+        violating_sphere=meshes.violating_sphere(),
+        violating_genus_2=meshes.violating_genus_2(),
+        tie_octahedron=_two_center_octahedron(math.pi / 2),
+        near_tie_octahedron=_two_center_octahedron(math.pi / 2 - 2e-7),
+    )
+    return out
+
+
+def _oracle_scan(mesh, targets):
+    """Brute force over the link-form oracle: (min margin, witness,
+    violations, near ties) over proper nonempty subsets."""
+    n = mesh.vertex_count
+    margins = {}
+    for mask in range(1, (1 << n) - 1):
+        subset = [v for v in range(n) if mask >> v & 1]
+        margins[mask] = math.fsum(targets[subset]) - oracle_bound(mesh, subset)
+    bad = [(bin(m).count("1"), m) for m, g in margins.items() if g <= STRICT_TOL]
+    witness = None
+    if bad:
+        mask = min(bad)[1]
+        witness = tuple(v for v in range(n) if mask >> v & 1)
+    near = sum(1 for g in margins.values() if STRICT_TOL < g <= NEAR_TOL)
+    return min(margins.values()), witness, len(bad), near
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_meshes()))
+def test_corner_formula_matches_link_oracle(name):
+    base = _oracle_meshes()[name]
+    n = base.vertex_count
+    rng = np.random.default_rng(sum(map(ord, name)))
+    random_weights = meshes.replace_weights(
+        base, rng.uniform(0.0, math.pi / 2, len(base.edges)).tolist()
+    )
+    chi = base.euler_characteristic()
+    cases = [
+        (base, cf.default_targets(base, cf.Geometry.EUCLIDEAN)),
+        (random_weights, rng.normal(2 * math.pi * chi / n, 4.0, n)),
+    ]
+    for mesh, targets in cases:
+        for mask in range(1, 1 << n):  # every nonempty subset, the whole set included
+            subset = [v for v in range(n) if mask >> v & 1]
+            assert abs(cf.subset_bound(mesh, subset) - oracle_bound(mesh, subset)) <= 1e-12
+        v = cf.check_subset_inequalities(mesh, targets=targets)
+        min_margin, witness, violations, near = _oracle_scan(mesh, targets)
+        assert abs(v.min_margin - min_margin) <= 1e-12
+        assert (v.witness, v.violations, v.near_ties) == (witness, violations, near)
+    assert cf.subset_bound(base, range(n)) == pytest.approx(2 * math.pi * chi, abs=1e-12)
 
 
 def test_curvature_sums_respect_bounds(rng):
@@ -187,9 +263,6 @@ def test_full_report_shapes():
     assert r_bad.overall == "fails"
 
 
-# Newton toward a target above 2*pi drives one radius to infinity, where the
-# Hessian degenerates before the solver gives up
-@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:Matrix is exactly singular")
 def test_full_report_honours_targets():
     with pytest.raises(ValueError, match="2\\*pi\\*chi"):
         # Euclidean targets must sum to 2*pi*chi = 0 on the torus
@@ -223,9 +296,3 @@ def test_full_report_honours_targets():
     capped = cf.full_report(g2, hyp, targets=ok, subset_cap=5)
     assert capped.overall == "undetermined" and capped.subset.status == "skipped"
     assert capped.loops is None
-
-
-def test_thread_override(monkeypatch):
-    monkeypatch.setenv("CIRCLEFLOW_THREADS", "2")
-    v = cf.check_subset_inequalities(meshes.torus_7())
-    assert v.status == "holds" and v.min_margin == pytest.approx(2 * math.pi)

