@@ -146,7 +146,7 @@ def write_mesh(
         doc["radii"] = np.asarray(metric.radii, dtype=float).tolist()
     if targets is not None:
         doc["targets"] = np.asarray(targets, dtype=float).tolist()
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(doc) + "\n")
 
 
 def write_trace(path, trace: FlowTrace, report: Optional[ConvergenceReport] = None) -> None:

@@ -21,9 +21,14 @@ radius-sum constraint as a step guard and never report a verdict stronger
 than "stopped"/"constraint_hit": there is no convergence theory to promise
 more.
 
-`newton_solve` steps with damped Newton on the curvature Jacobian (a convex
-problem in Euclidean and hyperbolic geometry); its line search accepts only a
-strictly lower residual, so the last iterate is always the best one.
+`newton_solve` steps with damped Newton on the curvature Jacobian, a
+symmetric M-matrix (the problem is convex in Euclidean and hyperbolic
+geometry).  Each direction comes from Jacobi-preconditioned conjugate
+gradients, stopped at relative residual 1e-10 or after one iteration per
+vertex; in Euclidean geometry, where the Jacobian is singular on the
+constants, right-hand side and direction are projected onto sum = 0.  The
+line search accepts only a strictly lower residual, so an inexact direction
+costs at most a rejected step, and the last iterate is always the best one.
 `potential_value` integrates the underlying closed 1-form sum (K_i -
 target_i) du_i along straight segments, which is the convex potential whose
 gradient the solvers chase.
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -68,6 +72,8 @@ __all__ = [
 ]
 
 MIN_STEP = 1e-12
+# relative residual at which conjugate gradients stops a Newton direction
+_CG_RTOL = 1e-10
 
 MODE_EULER = "explicit_euler"
 MODE_NEWTON = "newton"
@@ -369,21 +375,20 @@ def run_flow(
 
 
 def _newton_direction(mesh, metric, grad, geometry):
-    # a degenerate face or a singular Hessian shows up as a non-finite delta,
-    # which ends the solve; the warnings on the way there are silenced
-    with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        hess = curvature_hessian(mesh, metric).tocsc()
-        n = grad.size
-        if geometry is Geometry.EUCLIDEAN:
-            # bordered system pins the scale gauge: solve on sum(delta) = 0
-            ones = np.ones((n, 1))
-            kkt = sp.bmat([[hess, ones], [ones.T, None]], format="csc")
-            rhs = np.concatenate([-grad, [0.0]])
-            sol = spla.spsolve(kkt, rhs)
-            delta = sol[:n]
-        else:
-            delta = spla.spsolve(hess, -grad)
+    """Solve hess . delta = -grad by Jacobi-preconditioned conjugate
+    gradients, on the sum-zero gauge in Euclidean geometry; None when delta
+    is not finite."""
+    # a degenerate face or an overflowing Hessian shows up as a non-finite
+    # delta, which ends the solve; the warnings on the way there are silenced
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hess = curvature_hessian(mesh, metric)
+        jacobi = sp.diags(1.0 / hess.diagonal())
+        # the cap bounds a solve that iterates on NaN; an inexact delta is
+        # still guarded by the line search
+        delta, _info = spla.cg(
+            hess, _project_gauge(-grad, geometry), rtol=_CG_RTOL, maxiter=grad.size, M=jacobi
+        )
+        delta = _project_gauge(delta, geometry)
     if not np.all(np.isfinite(delta)):
         return None
     return delta
@@ -399,8 +404,10 @@ def newton_solve(
 
     Euclidean and hyperbolic geometry only.  The tolerance and iteration cap
     default to Newton's (1e-10 / 100) whatever `config.mode` says.  Each step
-    solves the curvature Jacobian (gauge-pinned in the Euclidean case) and
-    backtracks until the sup-norm residual strictly decreases inside the
+    solves the curvature Jacobian by conjugate gradients (relative residual
+    1e-10, at most one iteration per vertex, which also bounds a solve on a
+    non-finite Jacobian), gauge-projected onto sum = 0 in the Euclidean case,
+    and backtracks until the sup-norm residual strictly decreases inside the
     domain, so the last iterate is always the best one.  `on_iterate(k,
     metric, curvatures)` sees the start (k = 0) and every iterate.  Raises
     NewtonNonConvergenceError, carrying the last iterate, when tolerance is
@@ -418,7 +425,6 @@ def newton_solve(
         delta = _newton_direction(mesh, ev.metric(u), grad, geometry)
         if delta is None:
             return None
-        delta = _project_gauge(delta, geometry)
         resid = float(np.abs(grad).max())
         alpha = 1.0
         while alpha >= 2.0**-30:

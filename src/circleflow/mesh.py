@@ -110,6 +110,22 @@ class WeightedTriangulation:
         )
 
     @property
+    def _corner_pair_pattern(self):
+        """CSR pattern (indptr, indices) of the vertex pairs that share a face,
+        diagonal included, and the data slot of every (face, row corner,
+        column corner) entry, shape (F, 3, 3); repeated pairs share a slot."""
+
+        def build():
+            n = self.vertex_count
+            fv = self.face_vertices
+            pairs = (fv[:, :, None] * n + fv[:, None, :]).ravel()
+            keys, slots = np.unique(pairs, return_inverse=True)
+            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            return indptr, keys % n, slots.reshape(-1, 3, 3)
+
+        return self._arr("cpairs", build)
+
+    @property
     def face_edge_ids(self) -> np.ndarray:
         return self._arr(
             "fe", lambda: np.array([f.edges for f in self.faces], dtype=np.int64).reshape(-1, 3)

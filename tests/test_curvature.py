@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import circleflow as cf
 from circleflow import meshes
+from circleflow.geometry import _dtheta_dr
 from conftest import draw_metric
 
 GEOMS = (cf.Geometry.EUCLIDEAN, cf.Geometry.HYPERBOLIC, cf.Geometry.SPHERICAL)
@@ -138,6 +140,35 @@ def test_cone_angles_match_exact_summation_oracle():
         per_edge = cf.edge_length(metric.geometry, r[ends[:, 0]], r[ends[:, 1]], mesh.edge_weights)
         np.testing.assert_allclose(per_edge[mesh.face_edge_ids], lengths, rtol=1e-14, atol=0)
         assert abs(st.gb_residual) <= 1e-12, name
+
+
+def _coo_hessian(mesh, metric):
+    """Oracle: the Hessian assembled as a COO matrix of every face entry and
+    converted to CSR, which sums the repeated vertex pairs."""
+    g = metric.geometry
+    face_radii = metric.radii[mesh.face_vertices]
+    jac, _, _ = _dtheta_dr(g, face_radii, mesh.face_weights)
+    contrib = -jac * cf.s_func(g, face_radii)[:, None, :]
+    fv = mesh.face_vertices
+    rows = np.broadcast_to(fv[:, :, None], contrib.shape).ravel()
+    cols = np.broadcast_to(fv[:, None, :], contrib.shape).ravel()
+    n = mesh.vertex_count
+    return scipy.sparse.coo_matrix((contrib.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def test_hessian_matches_coo_assembly_oracle():
+    for name, mesh, metric in _oracle_cases():
+        hess = cf.curvature_hessian(mesh, metric)
+        want = _coo_hessian(mesh, metric)
+        assert hess.has_canonical_format and want.has_canonical_format
+        assert np.array_equal(hess.indptr, want.indptr), name
+        assert np.array_equal(hess.indices, want.indices), name
+        assert np.abs(hess.data - want.data).max() <= 1e-14 * np.abs(want.data).max(), name
+        # a second call refills data on the cached pattern
+        pattern = mesh._corner_pair_pattern
+        again = cf.curvature_hessian(mesh, metric)
+        assert mesh._corner_pair_pattern is pattern
+        assert np.array_equal(again.data, hess.data)
 
 
 def test_spherical_face_sum_guard():

@@ -128,6 +128,7 @@ def test_mesh_round_trip_bit_identical(tmp_path):
     targets = np.zeros(7)
     p = tmp_path / "m.json"
     files.write_mesh(p, mesh, metric=metric, targets=targets)
+    assert p.read_text().count("\n") == 1  # compact: one line, not indented
     m2, met2, t2 = files.parse_mesh(p)
     assert m2.vertex_count == mesh.vertex_count
     assert [tuple(f.vertices) for f in m2.faces] == [tuple(f.vertices) for f in mesh.faces]

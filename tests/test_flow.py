@@ -1,13 +1,18 @@
 """Normalized flow integration, Newton solver, potential, diagnostics."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import circleflow as cf
-from circleflow import meshes
+from circleflow import files, flow, meshes
 from conftest import draw_metric
+
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def _euclidean(radii):
@@ -305,3 +310,78 @@ def test_newton_agrees_with_flow(rng):
     trace, report = cf.run_flow(g2, m)
     sol, _ = cf.newton_solve(g2, m)
     assert np.allclose(np.asarray(sol.radii), np.asarray(report.limit_radii), rtol=1e-6, atol=0)
+
+
+def _kkt_direction(mesh, metric, grad):
+    """Oracle: the Newton direction by a sparse LU solve, with the Euclidean
+    scale gauge pinned by a bordered system on sum(delta) = 0."""
+    hess = cf.curvature_hessian(mesh, metric).tocsc()
+    if metric.geometry is cf.Geometry.EUCLIDEAN:
+        ones = np.ones((grad.size, 1))
+        kkt = sp.bmat([[hess, ones], [ones.T, None]], format="csc")
+        return spla.spsolve(kkt, np.concatenate([-grad, [0.0]]))[: grad.size]
+    return spla.spsolve(hess, -grad)
+
+
+def _direction_cases():
+    """(name, mesh, metric): every fixture and catalog mesh, Euclidean and
+    hyperbolic, at the file (or default) radii and at drawn radii."""
+    rng = np.random.default_rng(20261018)
+    loaded = []
+    for name in sorted(f for f in os.listdir(FIXDIR) if f.endswith(".json")):
+        mesh, metric, _ = files.parse_mesh(os.path.join(FIXDIR, name))
+        loaded.append((name, mesh, metric.radii))
+    for name in ("tetrahedron", "octahedron", "torus_7", "genus_2", "minimal_projective_plane",
+                 "violating_sphere", "violating_genus_2"):
+        mesh = getattr(meshes, name)()
+        loaded.append((name, mesh, None))
+    for name, mesh, radii in loaded:
+        for g in (cf.Geometry.EUCLIDEAN, cf.Geometry.HYPERBOLIC):
+            file_radii = files.default_radii(g, mesh.vertex_count) if radii is None else radii
+            yield name, mesh, cf.PackingMetric(geometry=g, radii=file_radii)
+            yield name, mesh, draw_metric(rng, mesh, g)
+
+
+def test_newton_direction_matches_kkt_oracle():
+    for name, mesh, metric in _direction_cases():
+        g = metric.geometry
+        grad = cf.curvature_state(mesh, metric).curvatures - cf.default_targets(mesh, g)
+        delta = flow._newton_direction(mesh, metric, grad, g)
+        want = _kkt_direction(mesh, metric, grad)
+        # the floor covers starts at a fixed point, where grad is rounding
+        assert np.linalg.norm(delta - want) <= 1e-8 * np.linalg.norm(want) + 1e-15, (name, g)
+        if g is cf.Geometry.EUCLIDEAN:
+            assert abs(delta.sum()) <= 1e-12, name
+
+
+@pytest.mark.parametrize("i, j, value", [(0, 0, math.inf), (0, 1, math.nan)])
+def test_newton_direction_of_a_non_finite_hessian_is_none(monkeypatch, i, j, value):
+    g2 = meshes.genus_2()
+    metric = cf.PackingMetric(geometry=cf.Geometry.HYPERBOLIC, radii=np.full(11, 1.5))
+    hess = cf.curvature_hessian(g2, metric).tolil()
+    hess[i, j] = hess[j, i] = value
+    monkeypatch.setattr(flow, "curvature_hessian", lambda mesh, metric: hess.tocsr())
+    assert flow._newton_direction(g2, metric, np.ones(11), cf.Geometry.HYPERBOLIC) is None
+
+
+def test_newton_failure_on_a_star_rim_torus_is_bounded():
+    # a 20x20 grid torus with one face star-subdivided and weight pi/2 on its
+    # rim: the centre's curvature stays above pi/2 > 0 = its target, so no
+    # flat metric exists, and the line search gives up after 3 iterations
+    n = 20
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            v00, v10 = i * n + j, ((i + 1) % n) * n + j
+            v01, v11 = i * n + (j + 1) % n, ((i + 1) % n) * n + (j + 1) % n
+            tris += [(v00, v10, v11), (v00, v11, v01)]
+    torus = meshes._from_triangles(n * n, tris, 0.3)
+    a, b, c = torus.faces[0].vertices
+    mesh, _centre = meshes.star_subdivide(torus, 0)
+    half_pi = math.pi / 2
+    mesh = meshes.replace_weights(mesh, {(a, b): half_pi, (b, c): half_pi, (c, a): half_pi})
+    radii = np.random.default_rng(3).lognormal(0.0, 0.3, mesh.vertex_count)
+    with pytest.raises(cf.NewtonNonConvergenceError) as exc:
+        cf.newton_solve(mesh, _euclidean(radii))
+    assert exc.value.iterations == 3
+    assert exc.value.residual == pytest.approx(math.pi / 2, rel=1e-12)
