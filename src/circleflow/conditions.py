@@ -105,7 +105,7 @@ class SubsetConditionVerdict:
     witness: Optional[tuple] = None  # smallest violating subset, ties to lowest ids
     violations: int = 0
     near_ties: int = 0  # margins in (STRICT_TOL, NEAR_TOL]
-    worst_bounds: tuple = ()  # ((margin, subset), ...) for the tightest subsets
+    worst_bounds: tuple = ()  # ((margin, subset), ...): tightest first, ties by size, then ids
     subsets_checked: int = 0
 
 
@@ -155,12 +155,17 @@ def _scan_chunk(mesh: WeightedTriangulation, targets: np.ndarray, start: int, st
     margin = _subset_margins(mesh, targets, member)
 
     mn = int(np.argmin(margin))
+    # the tightest subsets by (margin rounded to 1e-12, popcount, mask), so
+    # that last-digit rounding cannot reorder subsets with equal margins
+    rounded = np.round(margin, 12)
     keep = min(_WORST_KEEP, margin.size)
-    if margin.size > keep:
-        worst_idx = np.argpartition(margin, keep - 1)[:keep]
-    else:
-        worst_idx = np.arange(margin.size)
-    worst = [(float(margin[i]), int(masks[i])) for i in worst_idx]
+    tight = np.flatnonzero(rounded <= np.partition(rounded, keep - 1)[keep - 1])
+    popcount = member[tight].sum(axis=1)
+    pick = np.lexsort((masks[tight], popcount, rounded[tight]))[:keep]
+    worst = [
+        (float(rounded[i]), int(p), int(masks[i]), float(margin[i]))
+        for i, p in zip(tight[pick], popcount[pick])
+    ]
 
     violating = margin <= STRICT_TOL
     n_viol = int(violating.sum())
@@ -217,7 +222,7 @@ def check_subset_inequalities(
         witness=_mask_vertices(best[1]) if best else None,
         violations=violations,
         near_ties=near_ties,
-        worst_bounds=tuple((m, _mask_vertices(k)) for m, k in worst_all),
+        worst_bounds=tuple((m, _mask_vertices(k)) for _r, _p, k, m in worst_all),
         subsets_checked=total,
     )
 

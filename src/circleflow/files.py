@@ -96,16 +96,15 @@ def parse_mesh(path):
     try:
         geometry = Geometry.from_tag(raw["geometry"])
         n = int(raw["vertices"])
-        edges = [(int(e["a"]), int(e["b"]), _weight_value(e["weight"])) for e in raw["edges"]]
-        faces = [(tuple(f["v"]), tuple(f["e"])) for f in raw["faces"]]
-        allow = bool(raw.get("allow_duplicate_triples", False))
+        mesh = WeightedTriangulation(
+            n,
+            [(e["a"], e["b"], _weight_value(e["weight"])) for e in raw["edges"]],
+            [(f["v"], f["e"]) for f in raw["faces"]],
+            allow_duplicate_triples=bool(raw.get("allow_duplicate_triples", False)),
+        )
     except MeshFormatError:
         raise
     except (KeyError, TypeError, ValueError, DomainError) as err:
-        raise MeshFormatError(f"malformed mesh file: {err}") from None
-    try:
-        mesh = WeightedTriangulation(n, edges, faces, allow_duplicate_triples=allow)
-    except ValueError as err:
         raise MeshFormatError(f"malformed mesh file: {err}") from None
     violations = validate(mesh)
     if violations:
@@ -137,8 +136,14 @@ def write_mesh(
     doc = {
         "geometry": Geometry(geometry).tag,
         "vertices": mesh.vertex_count,
-        "edges": [{"a": e.a, "b": e.b, "weight": e.weight} for e in mesh.edges],
-        "faces": [{"v": list(f.vertices), "e": list(f.edges)} for f in mesh.faces],
+        "edges": [
+            {"a": a, "b": b, "weight": w}
+            for (a, b), w in zip(mesh.edge_endpoints.tolist(), mesh.edge_weights.tolist())
+        ],
+        "faces": [
+            {"v": v, "e": e}
+            for v, e in zip(mesh.face_vertices.tolist(), mesh.face_edge_ids.tolist())
+        ],
     }
     if mesh.allow_duplicate_triples:
         doc["allow_duplicate_triples"] = True

@@ -1,12 +1,13 @@
 """Develop a packing into the plane or the hyperbolic disk and render it.
 
-Faces are placed one at a time along a breadth-first spanning tree of the
-dual graph: the two shared vertices of the next face reuse the coordinates
-already assigned (exactly, no re-solving), and the third is placed on the far
-side of the shared edge at the distances the metric dictates.  Edges off the
-tree are cut edges; a face pair across a cut edge generally disagrees about
-coordinates unless the surface is simply connected, and the disagreement is
-the holonomy of the developing map.
+Faces are placed along a breadth-first spanning tree of the dual graph, one
+generation of the tree at a time as whole arrays: the two shared vertices of
+each new face reuse the coordinates its parent face already has (exactly, no
+re-solving), and the third is placed on the far side of the shared edge at
+the distances the metric dictates.  Edges off the tree are cut edges; a face
+pair across a cut edge generally disagrees about coordinates unless the
+surface is simply connected, and the disagreement is the holonomy of the
+developing map.
 
 Hyperbolic coordinates live in the Poincare disk, where placing a point at a
 prescribed distance and bearing from z means conjugating by the disk
@@ -16,9 +17,6 @@ planar picture and are rejected.
 
 from __future__ import annotations
 
-import cmath
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,54 +38,52 @@ class LayoutPlan:
     cut_edges: tuple  # everything else; coordinates may disagree across these
 
 
-def _mob_to_zero(z: complex, p: complex) -> complex:
+def _mob_to_zero(z, p):
     return (z - p) / (1.0 - p.conjugate() * z)
 
 
-def _mob_from_zero(w: complex, p: complex) -> complex:
+def _mob_from_zero(w, p):
     return (w + p) / (1.0 + p.conjugate() * w)
 
 
-def _reach(geometry: Geometry, d: float) -> float:
-    # Euclidean coordinate distance of a point at metric distance d from 0
-    return math.tanh(0.5 * d) if geometry is Geometry.HYPERBOLIC else d
+def hyperbolic_circle(center, radius):
+    """Euclidean (center, radius) of a metric circle in the Poincare disk.
 
-
-def hyperbolic_circle(center: complex, radius: float):
-    """Euclidean (center, radius) of a metric circle in the Poincare disk."""
-    t = math.tanh(0.5 * radius)
-    if center == 0:
-        return 0j, t
-    direction = center / abs(center)
+    Takes scalars or arrays of centers and radii (broadcast together)."""
+    center = np.asarray(center, dtype=complex)
+    t = np.tanh(0.5 * np.asarray(radius, dtype=float))
+    size = np.abs(center)
+    direction = np.divide(center, size, out=np.ones_like(center), where=size > 0)
     z_far = _mob_from_zero(t * direction, center)
     z_near = _mob_from_zero(-t * direction, center)
-    return 0.5 * (z_far + z_near), 0.5 * abs(z_far - z_near)
+    return 0.5 * (z_far + z_near), 0.5 * np.abs(z_far - z_near)
 
 
-def _place_across(geometry, coords, fv, lengths, angles, f, sf, g, sg):
-    """Face g shares the edge at slot sf of placed face f; fill coords[g]."""
-    p, q, r = (sg + 1) % 3, (sg + 2) % 3, sg
-    by_vertex = {int(fv[f, n]): coords[f, n] for n in range(3)}
-    zp = by_vertex[int(fv[g, p])]
-    zq = by_vertex[int(fv[g, q])]
+def _place_across(hyperbolic, coords, fv, reach, angles, src, dst):
+    """Place the faces dst // 3 across the placed corners src: corner
+    (f, sf) and (g, sg) hold the same edge; fill coords[g]."""
+    f, sf = np.divmod(src, 3)
+    g, sg = np.divmod(dst, 3)
+    p, q = (sg + 1) % 3, (sg + 2) % 3
+    a, b = (sf + 1) % 3, (sf + 2) % 3  # the shared edge's ends in f
+    p_at_a = fv[f, a] == fv[g, p]
+    zp = np.where(p_at_a, coords[f, a], coords[f, b])
+    zq = np.where(p_at_a, coords[f, b], coords[f, a])
     zs = coords[f, sf]  # third vertex of f, on the side to avoid
     alpha = angles[g, p]
-    leg = _reach(geometry, lengths[g, q])  # p-vertex to the new vertex
-    if geometry is Geometry.HYPERBOLIC:
+    leg = reach[g, q]  # p-vertex to the new vertex
+    if hyperbolic:
         qm = _mob_to_zero(zq, zp)
         sm = _mob_to_zero(zs, zp)
-        phi = cmath.phase(qm)
-        side = (qm.conjugate() * sm).imag
-        sign = -1.0 if side > 0 else 1.0
-        zr = _mob_from_zero(leg * cmath.exp(1j * (phi + sign * alpha)), zp)
+        sign = np.where((qm.conjugate() * sm).imag > 0, -1.0, 1.0)
+        zr = _mob_from_zero(leg * np.exp(1j * (np.angle(qm) + sign * alpha)), zp)
     else:
-        u = (zq - zp) / abs(zq - zp)
-        side = (u.conjugate() * (zs - zp)).imag
-        sign = -1.0 if side > 0 else 1.0
-        zr = zp + leg * u * cmath.exp(1j * sign * alpha)
+        u = (zq - zp) / np.abs(zq - zp)
+        sign = np.where((u.conjugate() * (zs - zp)).imag > 0, -1.0, 1.0)
+        zr = zp + leg * u * np.exp(1j * sign * alpha)
     coords[g, p] = zp
     coords[g, q] = zq
-    coords[g, r] = zr
+    coords[g, sg] = zr
 
 
 def develop_layout(
@@ -96,9 +92,12 @@ def develop_layout(
     geometry = metric.geometry
     if geometry is Geometry.SPHERICAL:
         raise ValueError("layout needs a Euclidean or hyperbolic metric")
+    hyperbolic = geometry is Geometry.HYPERBOLIC
     radii = _face_radii(mesh, metric)
     lengths = triangle_lengths(geometry, radii, mesh.face_weights)
     angles = angles_from_lengths(geometry, lengths)
+    # Euclidean coordinate distance of a point at metric distance d from 0
+    reach = np.tanh(0.5 * lengths) if hyperbolic else lengths
     fv = mesh.face_vertices
     n_faces = mesh.face_count
     if seed_face is None:
@@ -106,59 +105,55 @@ def develop_layout(
     if not 0 <= seed_face < n_faces:
         raise ValueError(f"seed face {seed_face} out of range")
 
+    # across[c]: the other corner holding the edge of corner c = 3 * face + slot
+    indptr, corners = mesh.edge_face_slots
+    two = indptr[:-1][np.diff(indptr) == 2]
+    across = np.full(3 * n_faces, -1, dtype=np.int64)
+    across[corners[two]] = corners[two + 1]
+    across[corners[two + 1]] = corners[two]
+
     coords = np.full((n_faces, 3), complex("nan"), dtype=complex)
-    placed = np.zeros(n_faces, dtype=bool)
-    coords[seed_face, 0] = 0.0
-    coords[seed_face, 1] = _reach(geometry, lengths[seed_face, 2])
-    coords[seed_face, 2] = _reach(geometry, lengths[seed_face, 1]) * cmath.exp(
+    coords[seed_face] = 0.0, reach[seed_face, 2], reach[seed_face, 1] * np.exp(
         1j * angles[seed_face, 0]
     )
+    placed = np.zeros(n_faces, dtype=bool)
     placed[seed_face] = True
 
+    # breadth-first, one generation at a time: in queue order, each unplaced
+    # face is claimed by the first corner that reaches it
     tree = []
-    queue = deque([seed_face])
-    occ = mesh.edge_face_slots
-    while queue:
-        f = queue.popleft()
-        for e in mesh.faces[f].edges:
-            pair = occ[e]
-            if len(pair) != 2:
-                continue
-            (fa, sa), (fb, sb) = pair
-            if fa == fb:
-                continue
-            g, sg = (fb, sb) if fa == f else (fa, sa)
-            if placed[g]:
-                continue
-            sf = sa if fa == f else sb
-            _place_across(geometry, coords, fv, lengths, angles, f, sf, g, sg)
-            placed[g] = True
-            tree.append(e)
-            queue.append(g)
+    frontier = np.array([seed_face])
+    while frontier.size:
+        src = (3 * frontier[:, None] + np.arange(3)).ravel()
+        dst = across[src]
+        src, dst = src[dst >= 0], dst[dst >= 0]
+        fresh = ~placed[dst // 3]
+        src, dst = src[fresh], dst[fresh]
+        _, first = np.unique(dst // 3, return_index=True)
+        first.sort()
+        src, dst = src[first], dst[first]
+        _place_across(hyperbolic, coords, fv, reach, angles, src, dst)
+        frontier = dst // 3
+        placed[frontier] = True
+        tree.append(mesh.face_edge_ids.ravel()[src])
     if not placed.all():
         raise ValueError("dual graph is disconnected; cannot develop every face")
 
-    vertex_radii = np.asarray(metric.radii, dtype=float)
-    circles = np.empty((n_faces, 3, 3))
-    for f in range(n_faces):
-        for s in range(3):
-            z = coords[f, s]
-            r = float(vertex_radii[fv[f, s]])
-            if geometry is Geometry.HYPERBOLIC:
-                c, rho = hyperbolic_circle(z, r)
-            else:
-                c, rho = z, r
-            circles[f, s] = (c.real, c.imag, rho)
-
-    tree_set = set(tree)
-    cut = tuple(e for e in range(mesh.edge_count) if e not in tree_set)
+    vertex_radii = np.asarray(metric.radii, dtype=float)[fv]
+    if hyperbolic:
+        centers, rho = hyperbolic_circle(coords, vertex_radii)
+    else:
+        centers, rho = coords, vertex_radii
+    tree = np.concatenate(tree)
+    crossed = np.zeros(mesh.edge_count, dtype=bool)
+    crossed[tree] = True
     return LayoutPlan(
         geometry=geometry,
         seed_face=int(seed_face),
         face_coords=np.stack([coords.real, coords.imag], axis=-1),
-        circles=circles,
-        tree_edges=tuple(tree),
-        cut_edges=cut,
+        circles=np.stack([centers.real, centers.imag, rho], axis=-1),
+        tree_edges=tuple(tree.tolist()),
+        cut_edges=tuple(np.flatnonzero(~crossed).tolist()),
     )
 
 
@@ -172,26 +167,22 @@ def render_svg(mesh: WeightedTriangulation, plan: LayoutPlan) -> str:
     Output is deterministic for a given plan; duplicate circles and segments
     (tree edges are shared exactly) collapse to one element.
     """
-    coords = plan.face_coords
     tree = set(plan.tree_edges)
 
     def key(*vals):
         return tuple(round(v, 9) for v in vals)
 
+    # Python floats: round() on numpy scalars costs several times more
     circles = {}
-    for f in range(coords.shape[0]):
-        for s in range(3):
-            cx, cy, rho = plan.circles[f, s]
-            circles.setdefault(key(cx, cy, rho), (cx, cy, rho))
+    for cx, cy, rho in plan.circles.reshape(-1, 3).tolist():
+        circles.setdefault(key(cx, cy, rho), (cx, cy, rho))
 
     solid, dashed = {}, {}
-    for f, face in enumerate(mesh.faces):
-        for s in range(3):
-            e = face.edges[s]
-            a, b = (s + 1) % 3, (s + 2) % 3
-            seg = (coords[f, a, 0], coords[f, a, 1], coords[f, b, 0], coords[f, b, 1])
-            k = frozenset((key(seg[0], seg[1]), key(seg[2], seg[3])))
-            (solid if e in tree else dashed).setdefault(k, seg)
+    for corners, edges in zip(plan.face_coords.tolist(), mesh.face_edge_ids.tolist()):
+        for s, e in enumerate(edges):
+            (ax, ay), (bx, by) = corners[(s + 1) % 3], corners[(s + 2) % 3]
+            k = frozenset((key(ax, ay), key(bx, by)))
+            (solid if e in tree else dashed).setdefault(k, (ax, ay, bx, by))
 
     if plan.geometry is Geometry.HYPERBOLIC:
         lo_x = lo_y = -1.05

@@ -6,6 +6,13 @@ explicit edge triple (slot n holds the edge opposite the slot-n vertex).
 The explicit edge references keep parallel edges representable, which a
 vertex-pair encoding cannot do.
 
+A mesh is four read-only arrays: `face_vertices` and `face_edge_ids`, shape
+(F, 3), `edge_endpoints`, shape (E, 2), and `edge_weights`, shape (E,).  Every
+derived table (edge-to-corner incidence, vertex degrees, parallel-edge groups,
+the Hessian pattern) is built from them with numpy on first use and cached.
+`edges` and `faces` are tuple views of `Edge` / `Face` records, also built on
+first use, for code that walks the cells one at a time.
+
 `validate` reports structural violations as data rather than raising, so a
 checker can show all of them at once.
 """
@@ -18,6 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 __all__ = [
     "Edge",
@@ -44,39 +53,47 @@ class Face(NamedTuple):
 
 
 class WeightedTriangulation:
-    """Immutable triangulated closed surface with weighted edges.
-
+    """Immutable triangulated closed surface with weighted edges, built from
+    (a, b, weight) edge rows and (vertex triple, edge triple) face rows.
     `allow_duplicate_triples=True` admits several faces on the same vertex
     triple (the generalized reading needed once parallel edges exist);
     the default strict mode flags them in `validate`.
     """
 
-    __slots__ = ("vertex_count", "edges", "faces", "allow_duplicate_triples", "_cache")
+    __slots__ = ("vertex_count", "face_vertices", "face_edge_ids", "edge_endpoints",
+                 "edge_weights", "allow_duplicate_triples", "_cache")
 
     def __init__(self, vertex_count, edges, faces, *, allow_duplicate_triples=False):
         n = int(vertex_count)
         if n <= 0:
             raise ValueError("vertex_count must be positive")
-        edge_list = []
-        for idx, (a, b, w) in enumerate(edges):
-            a, b, w = int(a), int(b), float(w)
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge {idx}: endpoint out of range")
-            edge_list.append(Edge(a, b, w))
-        face_list = []
-        for idx, (verts, eids) in enumerate(faces):
-            verts = tuple(int(v) for v in verts)
-            eids = tuple(int(e) for e in eids)
-            if len(verts) != 3 or len(eids) != 3:
-                raise ValueError(f"face {idx}: needs 3 vertices and 3 edges")
-            if any(not 0 <= v < n for v in verts):
-                raise ValueError(f"face {idx}: vertex out of range")
-            if any(not 0 <= e < len(edge_list) for e in eids):
-                raise ValueError(f"face {idx}: edge id out of range")
-            face_list.append(Face(verts, eids))
+        edges, faces = list(edges), list(faces)
+        a, b, w = zip(*edges) if edges else ((), (), ())
+        short = next((i for i, (v, e) in enumerate(faces) if len(v) != 3 or len(e) != 3), None)
+        if short is not None:
+            raise ValueError(f"face {short}: needs 3 vertices and 3 edges")
+        verts, eids = zip(*faces) if faces else ((), ())
+        try:
+            ab = np.array([a, b], dtype=np.int64).T.copy()
+            fv = np.array(verts, dtype=np.int64).reshape(-1, 3)
+            fe = np.array(eids, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            raise ValueError("vertex or edge id out of range") from None
+        bad = np.flatnonzero(((ab < 0) | (ab >= n)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"edge {bad[0]}: endpoint out of range")
+        bad_vertex = ((fv < 0) | (fv >= n)).any(axis=1)
+        bad = np.flatnonzero(bad_vertex | ((fe < 0) | (fe >= len(ab))).any(axis=1))
+        if bad.size:
+            what = "vertex" if bad_vertex[bad[0]] else "edge id"
+            raise ValueError(f"face {bad[0]}: {what} out of range")
         self.vertex_count = n
-        self.edges = tuple(edge_list)
-        self.faces = tuple(face_list)
+        self.edge_endpoints = ab
+        self.edge_weights = np.fromiter(map(float, w), dtype=float, count=len(w))
+        self.face_vertices = fv
+        self.face_edge_ids = fe
+        for arr in (ab, self.edge_weights, fv, fe):
+            arr.flags.writeable = False
         self.allow_duplicate_triples = bool(allow_duplicate_triples)
         self._cache = {}
 
@@ -84,16 +101,16 @@ class WeightedTriangulation:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_weights)
 
     @property
     def face_count(self) -> int:
-        return len(self.faces)
+        return len(self.face_vertices)
 
     def euler_characteristic(self) -> int:
         return euler_characteristic(self)
 
-    # -- cached arrays ------------------------------------------------------
+    # -- cached views and tables --------------------------------------------
 
     def _arr(self, key, build):
         try:
@@ -104,10 +121,17 @@ class WeightedTriangulation:
             return value
 
     @property
-    def face_vertices(self) -> np.ndarray:
-        return self._arr(
-            "fv", lambda: np.array([f.vertices for f in self.faces], dtype=np.int64).reshape(-1, 3)
-        )
+    def edges(self) -> tuple:
+        ab, w = self.edge_endpoints, self.edge_weights
+        return self._arr("edges", lambda: tuple(map(Edge, *ab.T.tolist(), w.tolist())))
+
+    @property
+    def faces(self) -> tuple:
+        def build():
+            fv, fe = self.face_vertices.tolist(), self.face_edge_ids.tolist()
+            return tuple(map(Face, map(tuple, fv), map(tuple, fe)))
+
+        return self._arr("faces", build)
 
     @property
     def _corner_pair_pattern(self):
@@ -126,66 +150,49 @@ class WeightedTriangulation:
         return self._arr("cpairs", build)
 
     @property
-    def face_edge_ids(self) -> np.ndarray:
-        return self._arr(
-            "fe", lambda: np.array([f.edges for f in self.faces], dtype=np.int64).reshape(-1, 3)
-        )
-
-    @property
     def face_weights(self) -> np.ndarray:
         return self._arr("fw", lambda: self.edge_weights[self.face_edge_ids])
 
     @property
-    def edge_weights(self) -> np.ndarray:
-        return self._arr("ew", lambda: np.array([e.weight for e in self.edges], dtype=float))
-
-    @property
-    def edge_endpoints(self) -> np.ndarray:
-        return self._arr(
-            "eab", lambda: np.array([(e.a, e.b) for e in self.edges], dtype=np.int64).reshape(-1, 2)
-        )
-
-    @property
     def edge_face_slots(self):
-        """Per edge, list of (face id, slot) occurrences."""
+        """Edge-to-corner incidence as CSR arrays (indptr, corners): the
+        corners 3 * face + slot whose slot holds edge e are
+        corners[indptr[e]:indptr[e + 1]], in increasing order."""
 
         def build():
-            occ = [[] for _ in self.edges]
-            for f, face in enumerate(self.faces):
-                for s, e in enumerate(face.edges):
-                    occ[e].append((f, s))
-            return occ
+            fe = self.face_edge_ids.ravel()
+            corners = np.argsort(fe, kind="stable")
+            return np.searchsorted(fe[corners], np.arange(self.edge_count + 1)), corners
 
         return self._arr("efaces", build)
 
     def vertex_degrees(self) -> np.ndarray:
-        def build():
-            deg = np.zeros(self.vertex_count, dtype=np.int64)
-            for e in self.edges:
-                deg[e.a] += 1
-                deg[e.b] += 1
-            return deg
-
-        return self._arr("deg", build)
+        ab = self.edge_endpoints
+        return self._arr("deg", lambda: np.bincount(ab.ravel(), minlength=self.vertex_count))
 
     def pair_edges(self):
         """Map unordered endpoint pair -> list of edge ids (parallel-aware)."""
 
         def build():
-            table = {}
-            for idx, e in enumerate(self.edges):
-                table.setdefault(frozenset((e.a, e.b)), []).append(idx)
-            return table
+            pairs = np.sort(self.edge_endpoints, axis=1)
+            first = _first_equal_row(pairs)
+            order = np.argsort(first, kind="stable")  # grouped, each led by its lowest id
+            starts = np.flatnonzero(first[order] == order).tolist()
+            ids, keys = order.tolist(), pairs.tolist()
+            ends = starts[1:] + [len(ids)]
+            return {frozenset(keys[ids[a]]): ids[a:b] for a, b in zip(starts, ends)}
 
         return self._arr("pairs", build)
 
     def permuted(self, perm: Sequence[int]) -> "WeightedTriangulation":
         """Relabel vertices by perm[v]; edge and face ids keep their order."""
-        perm = [int(p) for p in perm]
-        edges = [(perm[e.a], perm[e.b], e.weight) for e in self.edges]
-        faces = [(tuple(perm[v] for v in f.vertices), f.edges) for f in self.faces]
+        perm = np.asarray(perm, dtype=np.int64)
+        a, b = perm[self.edge_endpoints].T
         return WeightedTriangulation(
-            self.vertex_count, edges, faces, allow_duplicate_triples=self.allow_duplicate_triples
+            self.vertex_count,
+            zip(a, b, self.edge_weights),
+            zip(perm[self.face_vertices], self.face_edge_ids),
+            allow_duplicate_triples=self.allow_duplicate_triples,
         )
 
 
@@ -197,22 +204,19 @@ def euler_characteristic(mesh: WeightedTriangulation) -> int:
 
 
 def _connected(mesh: WeightedTriangulation) -> bool:
-    if mesh.vertex_count == 0:
-        return True
-    adj = [[] for _ in range(mesh.vertex_count)]
-    for e in mesh.edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    seen = np.zeros(mesh.vertex_count, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return bool(seen.all())
+    ab, n = mesh.edge_endpoints, mesh.vertex_count
+    graph = sp.coo_matrix((np.ones(len(ab)), (ab[:, 0], ab[:, 1])), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False, return_labels=False) == 1
+
+
+def _first_equal_row(rows: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first row equal to it."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows stay in index order
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (np.diff(rows[order], axis=0) != 0).any(axis=1)
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
 
 
 def validate(mesh: WeightedTriangulation) -> list:
@@ -227,70 +231,67 @@ def validate(mesh: WeightedTriangulation) -> list:
     A vertex on no face is reported alone, before any per-vertex work, so a
     claimed vertex count far beyond the face table costs nothing.
     """
-    used = {v for face in mesh.faces for v in face.vertices}
+    fv, fe = mesh.face_vertices, mesh.face_edge_ids
+    ab, w = mesh.edge_endpoints, mesh.edge_weights
+    used = np.unique(fv)
     if len(used) != mesh.vertex_count:
-        first = min(set(range(len(used) + 1)) - used)
+        gaps = np.flatnonzero(used != np.arange(len(used)))
+        first = int(gaps[0]) if gaps.size else len(used)
         return [f"vertex {first} lies on no face ({len(used)} of {mesh.vertex_count} do)"]
     bad = []
-    for idx, e in enumerate(mesh.edges):
-        if e.a == e.b:
-            bad.append(f"edge {idx}: endpoints coincide (vertex {e.a})")
-        if not (0.0 <= e.weight <= MAX_MESH_WEIGHT + 1e-12):
-            bad.append(f"edge {idx}: weight {e.weight} outside [0, pi/2]")
-        if not math.isfinite(e.weight):
+    loop = ab[:, 0] == ab[:, 1]
+    out_of_range = ~((w >= 0.0) & (w <= MAX_MESH_WEIGHT + 1e-12))
+    not_finite = ~np.isfinite(w)
+    for idx in np.flatnonzero(loop | out_of_range | not_finite).tolist():
+        if loop[idx]:
+            bad.append(f"edge {idx}: endpoints coincide (vertex {int(ab[idx, 0])})")
+        if out_of_range[idx]:
+            bad.append(f"edge {idx}: weight {float(w[idx])} outside [0, pi/2]")
+        if not_finite[idx]:
             bad.append(f"edge {idx}: weight not finite")
 
-    for f, face in enumerate(mesh.faces):
-        i, j, k = face.vertices
-        expect = (frozenset((j, k)), frozenset((k, i)), frozenset((i, j)))
-        for s in range(3):
-            e = mesh.edges[face.edges[s]]
-            if frozenset((e.a, e.b)) != expect[s]:
-                bad.append(
-                    f"face {f}: edge slot {s} (edge {face.edges[s]}) does not join "
-                    f"the two vertices opposite slot {s}"
-                )
+    pairs = np.sort(ab, axis=1)
+    opposite = np.sort(np.stack([fv[:, [1, 2, 0]], fv[:, [2, 0, 1]]], axis=-1), axis=-1)
+    for f, s in np.argwhere((pairs[fe] != opposite).any(axis=-1)).tolist():
+        bad.append(f"face {f}: edge slot {s} (edge {int(fe[f, s])}) does not join "
+                   f"the two vertices opposite slot {s}")
 
-    for idx, occ in enumerate(mesh.edge_face_slots):
-        if len(occ) != 2:
-            bad.append(f"edge {idx}: belongs to {len(occ)} faces (expected 2)")
+    counts = np.bincount(fe.ravel(), minlength=mesh.edge_count)
+    for idx in np.flatnonzero(counts != 2).tolist():
+        bad.append(f"edge {idx}: belongs to {int(counts[idx])} faces (expected 2)")
 
-    for v, d in enumerate(mesh.vertex_degrees()):
-        if d < 3:
-            bad.append(f"vertex {v}: degree {d} < 3")
+    deg = mesh.vertex_degrees()
+    for v in np.flatnonzero(deg < 3).tolist():
+        bad.append(f"vertex {v}: degree {int(deg[v])} < 3")
 
-    seen_edge_sets = {}
-    for f, face in enumerate(mesh.faces):
-        key = frozenset(face.edges)
-        if key in seen_edge_sets:
-            bad.append(f"faces {seen_edge_sets[key]},{f}: identical edge triple")
-        else:
-            seen_edge_sets[key] = f
+    # faces compare by the *set* of their edges: sorted, with a repeated id
+    # moved to the middle slot so that (x, x, y) and (x, y, y) agree
+    s = np.sort(fe, axis=1)
+    middle = np.where((s[:, 1] == s[:, 0]) | (s[:, 1] == s[:, 2]), s[:, 0], s[:, 1])
+    first = _first_equal_row(np.stack([s[:, 0], middle, s[:, 2]], axis=1))
+    for f in np.flatnonzero(first != np.arange(len(fe))).tolist():
+        bad.append(f"faces {int(first[f])},{f}: identical edge triple")
 
     if not mesh.allow_duplicate_triples:
-        seen_triples = {}
-        for f, face in enumerate(mesh.faces):
-            key = frozenset(face.vertices)
-            if len(key) == 3 and key in seen_triples:
-                bad.append(
-                    f"faces {seen_triples[key]},{f}: same vertex triple (strict mode)"
-                )
-            else:
-                seen_triples.setdefault(key, f)
+        s = np.sort(fv, axis=1)
+        distinct = (s[:, 0] < s[:, 1]) & (s[:, 1] < s[:, 2])
+        first = _first_equal_row(s)
+        for f in np.flatnonzero(distinct & (first != np.arange(len(fv)))).tolist():
+            bad.append(f"faces {int(first[f])},{f}: same vertex triple (strict mode)")
 
     # two-edge disk: parallel edges e1, e2 whose containing faces agree on the
     # remaining two edges (a doubled triangle pinched along e1 and e2)
-    for pair, eids in mesh.pair_edges().items():
-        if len(eids) < 2:
-            continue
+    same_pair = _first_equal_row(pairs)
+    groups = {}
+    for e in np.flatnonzero(np.bincount(same_pair, minlength=1)[same_pair] >= 2).tolist():
+        groups.setdefault(int(same_pair[e]), []).append(e)
+    indptr, corners = mesh.edge_face_slots
+    for eids in groups.values():
         for e1, e2 in itertools.combinations(eids, 2):
-            for f1, _ in mesh.edge_face_slots[e1]:
-                rest1 = sorted(x for x in mesh.faces[f1].edges if x != e1)
-                for f2, _ in mesh.edge_face_slots[e2]:
-                    if f1 == f2:
-                        continue
-                    rest2 = sorted(x for x in mesh.faces[f2].edges if x != e2)
-                    if rest1 == rest2:
+            for f1 in (corners[indptr[e1] : indptr[e1 + 1]] // 3).tolist():
+                rest1 = sorted(x for x in fe[f1].tolist() if x != e1)
+                for f2 in (corners[indptr[e2] : indptr[e2 + 1]] // 3).tolist():
+                    if f1 != f2 and rest1 == sorted(x for x in fe[f2].tolist() if x != e2):
                         bad.append(f"edges {e1},{e2}: bound a two-edge disk")
 
     if not _connected(mesh):
@@ -324,25 +325,27 @@ class Loop:
 
 def _face_regions(mesh: WeightedTriangulation, loop_edges: frozenset):
     """Connected face components when adjacency across loop edges is cut."""
-    comp = np.full(mesh.face_count, -1, dtype=np.int64)
-    occ = mesh.edge_face_slots
+    indptr, corners = mesh.edge_face_slots
+    start, owner = indptr.tolist(), (corners // 3).tolist()
+    faces = mesh.faces
+    comp = [-1] * mesh.face_count
     n_comp = 0
-    for start in range(mesh.face_count):
-        if comp[start] >= 0:
+    for seed in range(mesh.face_count):
+        if comp[seed] >= 0:
             continue
-        comp[start] = n_comp
-        stack = [start]
+        comp[seed] = n_comp
+        stack = [seed]
         while stack:
             f = stack.pop()
-            for e in mesh.faces[f].edges:
+            for e in faces[f].edges:
                 if e in loop_edges:
                     continue
-                for g, _ in occ[e]:
+                for g in owner[start[e] : start[e + 1]]:
                     if comp[g] < 0:
                         comp[g] = n_comp
                         stack.append(g)
         n_comp += 1
-    return comp, n_comp
+    return np.array(comp), n_comp
 
 
 def _loop_null_homotopic(mesh: WeightedTriangulation, loop_edges: frozenset) -> bool:
@@ -356,14 +359,9 @@ def _loop_null_homotopic(mesh: WeightedTriangulation, loop_edges: frozenset) -> 
     if n_comp == 1:
         return False
     for c in range(n_comp):
-        faces = np.nonzero(comp == c)[0]
-        verts = set()
-        edges = set()
-        for f in faces:
-            verts.update(mesh.faces[f].vertices)
-            edges.update(mesh.faces[f].edges)
-        chi = len(verts) - len(edges) + len(faces)
-        if chi == 1:
+        region = comp == c
+        verts, edges = mesh.face_vertices[region], mesh.face_edge_ids[region]
+        if len(np.unique(verts)) - len(np.unique(edges)) + len(verts) == 1:
             return True
     return False
 
@@ -390,20 +388,20 @@ def enumerate_short_loops(mesh: WeightedTriangulation, max_len: int = 4) -> list
         raise ValueError("max_len must be 3 or 4")
     pair_edges = mesh.pair_edges()
     adj = _vertex_adjacency(mesh)
+    faces = mesh.faces
     face_by_edgeset = {}
-    for f, face in enumerate(mesh.faces):
+    for f, face in enumerate(faces):
         face_by_edgeset.setdefault(frozenset(face.edges), f)
 
     # map symmetric-difference edge set of two adjacent faces -> (f, g)
     pair_by_boundary = {}
-    for e, occ in enumerate(mesh.edge_face_slots):
-        if len(occ) != 2:
-            continue
-        f, g = occ[0][0], occ[1][0]
+    indptr, corners = mesh.edge_face_slots
+    two = indptr[:-1][np.diff(indptr) == 2]
+    for f, g in (corners[two[:, None] + [0, 1]] // 3).tolist():
         if f == g:
             continue
-        union = set(mesh.faces[f].edges) | set(mesh.faces[g].edges)
-        shared = set(mesh.faces[f].edges) & set(mesh.faces[g].edges)
+        union = set(faces[f].edges) | set(faces[g].edges)
+        shared = set(faces[f].edges) & set(faces[g].edges)
         boundary = frozenset(union - shared)
         if len(boundary) == 4:
             pair_by_boundary.setdefault(boundary, (min(f, g), max(f, g)))

@@ -6,8 +6,24 @@ import numpy as np
 import pytest
 
 import circleflow as cf
+from circleflow import meshes
 
 _ACCEPTANCE = {}
+
+CATALOG = (
+    "tetrahedron",
+    "octahedron",
+    "torus_7",
+    "genus_2",
+    "minimal_projective_plane",
+    "violating_sphere",
+    "violating_genus_2",
+)
+
+
+def catalog():
+    """Every built-in mesh of `circleflow.meshes`, by builder name."""
+    return {name: getattr(meshes, name)() for name in CATALOG}
 
 
 @pytest.fixture

@@ -120,6 +120,23 @@ def test_tie_counts_as_violation():
     assert v.witness is not None and len(v.witness) == 1
 
 
+def test_worst_bounds_ignore_last_digit_rounding():
+    # torus7.json ties many subsets at equal margins; a 1e-15 change of the
+    # targets must not change which subsets are listed, or their order
+    mesh, _metric, _targets = files.parse_mesh(FIXTURES / "torus7.json")
+    targets = cf.default_targets(mesh, cf.Geometry.EUCLIDEAN)
+    listed = [s for _m, s in cf.check_subset_inequalities(mesh, targets=targets).worst_bounds]
+    assert listed[:8] == [
+        (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 5, 6), (0, 1, 2, 4, 5, 6),
+        (0, 1, 3, 4, 5, 6), (0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), (0,),
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        nudged = targets + rng.choice([-1e-15, 1e-15], mesh.vertex_count)
+        v = cf.check_subset_inequalities(mesh, targets=nudged)
+        assert [s for _m, s in v.worst_bounds] == listed
+
+
 def test_near_ties_reported():
     mesh = _two_center_octahedron(math.pi / 2 - 2e-7)
     v = cf.check_subset_inequalities(mesh)

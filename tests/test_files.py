@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
 import circleflow as cf
+import mesh_oracle
 from circleflow import files, meshes
+from conftest import catalog
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -106,11 +109,13 @@ def test_vertex_count_beyond_the_faces_is_one_violation(tmp_path):
     p = tmp_path / "m.json"
     files.write_mesh(p, meshes.tetrahedron(), geometry=cf.Geometry.EUCLIDEAN)
     doc = json.loads(p.read_text())
-    for count in (5, 10**6):
+    for count in (5, 10**6, 10**12):
         doc["vertices"] = count
         p.write_text(json.dumps(doc))
+        start = time.perf_counter()
         with pytest.raises(files.MeshValidationError) as exc:
             files.parse_mesh(p)
+        assert time.perf_counter() - start < 0.1
         assert exc.value.violations == [f"vertex 4 lies on no face (4 of {count} do)"]
 
 
@@ -192,3 +197,29 @@ def test_trace_without_report_or_tail(tmp_path):
     p.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(files.MeshFormatError):
         files.read_trace(p)
+
+
+def test_write_mesh_bytes_match_the_record_form(tmp_path):
+    p = tmp_path / "m.json"
+    for name in sorted(os.listdir(FIXDIR)):
+        mesh, metric, targets = files.parse_mesh(os.path.join(FIXDIR, name))
+        files.write_mesh(p, mesh, metric=metric, targets=targets)
+        expect = mesh_oracle.write_mesh_text(mesh, metric.geometry, metric.radii, targets)
+        assert p.read_text() == expect, name
+    for name, mesh in catalog().items():
+        files.write_mesh(p, mesh, geometry=cf.Geometry.HYPERBOLIC)
+        assert p.read_text() == mesh_oracle.write_mesh_text(mesh, cf.Geometry.HYPERBOLIC), name
+
+
+def test_ragged_face_is_a_format_error(tmp_path):
+    p = tmp_path / "m.json"
+    files.write_mesh(p, meshes.tetrahedron(), geometry=cf.Geometry.EUCLIDEAN)
+    doc = json.loads(p.read_text())
+    doc["faces"][2]["v"] = [0, 1]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(files.MeshFormatError, match="face 2: needs 3 vertices and 3 edges"):
+        files.parse_mesh(p)
+    doc["faces"][2]["v"] = [0, 1, {"x": 2}]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(files.MeshFormatError):
+        files.parse_mesh(p)

@@ -8,17 +8,12 @@ import numpy as np
 import pytest
 
 import circleflow as cf
+import layout_oracle
+import mesh_oracle
 from circleflow import files, meshes
+from conftest import catalog, draw_metric
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-
-
-def _edge_slots(mesh):
-    slots = {}
-    for f, face in enumerate(mesh.faces):
-        for s, e in enumerate(face.edges):
-            slots.setdefault(e, []).append((f, s))
-    return slots
 
 
 def _check_plan_lengths(mesh, metric, plan, tol=1e-9):
@@ -53,7 +48,7 @@ def test_tree_edges_share_exact_endpoints():
         assert len(plan.tree_edges) == len(mesh.faces) - 1
         assert len(plan.cut_edges) == len(mesh.edges) - len(plan.tree_edges)
         fv = mesh.face_vertices
-        slots = _edge_slots(mesh)
+        slots = mesh_oracle.edge_face_slots(mesh)
         for e in plan.tree_edges:
             (f, sf), (g, sg) = slots[e]
             for v in (mesh.edges[e].a, mesh.edges[e].b):
@@ -116,3 +111,38 @@ def test_render_svg_deterministic_and_well_formed():
     assert root.tag.endswith("svg")
     body = ET.tostring(root, encoding="unicode")
     assert "circle" in body and "line" in body
+
+
+def test_hyperbolic_circle_on_arrays_matches_scalar_calls(rng):
+    centers = rng.uniform(-0.6, 0.6, 20) + 1j * rng.uniform(-0.6, 0.6, 20)
+    centers[3] = 0.0
+    radii = rng.uniform(0.1, 2.0, 20)
+    c, rho = cf.hyperbolic_circle(centers, radii)
+    for n in range(20):
+        cn, rn = cf.hyperbolic_circle(complex(centers[n]), float(radii[n]))
+        assert abs(cn - c[n]) <= 1e-15 and abs(rn - rho[n]) <= 1e-15
+    assert c[3] == 0 and rho[3] == np.tanh(0.5 * radii[3])  # the center-0 case is exact
+
+
+def _layout_cases():
+    cases = []
+    for name in sorted(os.listdir(FIXDIR)):
+        mesh, metric, _ = files.parse_mesh(os.path.join(FIXDIR, name))
+        if metric.geometry is not cf.Geometry.SPHERICAL:
+            cases.append((name, mesh, metric))
+    rng = np.random.default_rng(20261018)
+    for name, mesh in catalog().items():
+        for geometry in (cf.Geometry.EUCLIDEAN, cf.Geometry.HYPERBOLIC):
+            cases.append((f"{name}-{geometry.tag}", mesh, draw_metric(rng, mesh, geometry)))
+    return cases
+
+
+def test_layout_and_svg_match_face_by_face_oracle():
+    for name, mesh, metric in _layout_cases():
+        for seed_face in (0, mesh.face_count - 1):
+            plan = cf.develop_layout(mesh, metric, seed_face=seed_face)
+            ref = layout_oracle.develop_layout(mesh, metric, seed_face=seed_face)
+            assert plan.tree_edges == ref.tree_edges and plan.cut_edges == ref.cut_edges, name
+            assert np.abs(plan.face_coords - ref.face_coords).max() <= 1e-12, name
+            assert np.abs(plan.circles - ref.circles).max() <= 1e-12, name
+            assert cf.render_svg(mesh, plan) == layout_oracle.render_svg(mesh, ref), name

@@ -1,14 +1,20 @@
 """Triangulation container, validation, subcomplexes, short loops."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import circleflow as cf
-from circleflow import meshes
-from circleflow.mesh import Edge, Face, WeightedTriangulation
+import mesh_oracle
+from circleflow import files, meshes
+from circleflow.mesh import Edge, Face, WeightedTriangulation, _connected
+from conftest import catalog
 from subset_oracle import subcomplex_and_link
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_builder_stats():
@@ -263,3 +269,181 @@ def test_face_id_of():
     tet = meshes.tetrahedron()
     fid = meshes.face_id_of(tet, (0, 1, 2))
     assert tuple(sorted(tet.faces[fid].vertices)) == (0, 1, 2)
+
+
+# -- the array path against the cell-by-cell oracle -----------------------------
+
+
+def _doc(mesh):
+    return json.loads(mesh_oracle.write_mesh_text(mesh, cf.Geometry.EUCLIDEAN))
+
+
+def _corrupted_docs():
+    """One mesh file per structural check, each failing it (and maybe others)."""
+    out = {}
+    tet = _doc(meshes.tetrahedron())
+    t7 = _doc(meshes.torus_7())
+
+    def variant(name, base, change):
+        doc = json.loads(json.dumps(base))
+        change(doc)
+        out[name] = doc
+
+    variant("vertex_on_no_face", tet, lambda d: d.update(vertices=5))
+    variant("self_loop", tet, lambda d: d["edges"][0].update(a=d["edges"][0]["b"]))
+    variant("weight_above_range", t7, lambda d: [d["edges"][e].update(weight=2.0) for e in (9, 3)])
+    variant("weight_below_range", t7, lambda d: d["edges"][5].update(weight=-0.1))
+    variant("weight_nan", t7, lambda d: [d["edges"][e].update(weight=math.nan) for e in (2, 7)])
+    variant("weight_inf", t7, lambda d: d["edges"][4].update(weight=-math.inf))
+    variant("slot_mismatch", t7, lambda d: d["faces"][3]["e"].reverse())
+
+    def edge_in_one_face(d):
+        # a parallel copy of edge 0 takes its place in the first face using it
+        a, b = d["edges"][0]["a"], d["edges"][0]["b"]
+        d["edges"].append({"a": a, "b": b, "weight": 0.0})
+        face = next(f for f in d["faces"] if 0 in f["e"])
+        face["e"][face["e"].index(0)] = len(d["edges"]) - 1
+
+    variant("edge_in_one_face", t7, edge_in_one_face)
+    variant("edge_in_three_faces", t7, lambda d: d["faces"].append(dict(d["faces"][6])))
+    variant(
+        "degree_below_three",
+        tet,
+        lambda d: d.update(
+            vertices=3,
+            edges=[{"a": 1, "b": 2, "weight": 0.0}, {"a": 2, "b": 0, "weight": 0.0},
+                   {"a": 0, "b": 1, "weight": 0.0}],
+            faces=[{"v": [0, 1, 2], "e": [0, 1, 2]}, {"v": [0, 2, 1], "e": [0, 2, 1]}],
+        ),
+    )
+
+    def identical_edge_sets(d):
+        # faces listing (x, x, y) and (x, y, y) carry the same edge set
+        x, y = d["faces"][0]["e"][:2]
+        d["faces"][0]["e"] = [x, x, y]
+        d["faces"][1]["e"] = [x, y, y]
+
+    variant("identical_edge_triple", t7, identical_edge_sets)
+    variant("duplicate_vertex_triple", _doc(meshes.minimal_projective_plane()),
+            lambda d: d.pop("allow_duplicate_triples"))
+    variant(
+        "two_edge_disk",
+        tet,
+        lambda d: d.update(
+            vertices=3,
+            edges=[{"a": 1, "b": 2, "weight": 0.0}, {"a": 2, "b": 0, "weight": 0.0},
+                   {"a": 0, "b": 1, "weight": 0.0}, {"a": 0, "b": 1, "weight": 0.0}],
+            faces=[{"v": [0, 1, 2], "e": [0, 1, 2]}, {"v": [0, 1, 2], "e": [0, 1, 3]}],
+            allow_duplicate_triples=True,
+        ),
+    )
+
+    def two_tetrahedra(d):
+        n, ne = d["vertices"], len(d["edges"])
+        d["edges"] += [dict(e, a=e["a"] + n, b=e["b"] + n) for e in d["edges"]]
+        d["faces"] += [{"v": [v + n for v in f["v"]], "e": [e + ne for e in f["e"]]}
+                       for f in d["faces"]]
+        d["vertices"] = 2 * n
+
+    variant("disconnected", tet, two_tetrahedra)
+    return out
+
+
+def _mesh_of(doc):
+    return WeightedTriangulation(
+        doc["vertices"],
+        [(e["a"], e["b"], e["weight"]) for e in doc["edges"]],
+        [(f["v"], f["e"]) for f in doc["faces"]],
+        allow_duplicate_triples=doc.get("allow_duplicate_triples", False),
+    )
+
+
+def _oracle_cases():
+    cases = {name: _mesh_of(doc) for name, doc in _corrupted_docs().items()}
+    cases.update((p.name, files.parse_mesh(p)[0]) for p in sorted(FIXTURES.glob("*.json")))
+    cases.update(catalog())
+    return cases
+
+
+def test_corpus_covers_every_check():
+    expect = {
+        "vertex_on_no_face": "lies on no face",
+        "self_loop": "endpoints coincide",
+        "weight_above_range": "outside [0, pi/2]",
+        "weight_below_range": "outside [0, pi/2]",
+        "weight_nan": "weight not finite",
+        "weight_inf": "weight not finite",
+        "slot_mismatch": "does not join",
+        "edge_in_one_face": "belongs to 1 faces",
+        "edge_in_three_faces": "belongs to 3 faces",
+        "degree_below_three": "degree 2 < 3",
+        "identical_edge_triple": "identical edge triple",
+        "duplicate_vertex_triple": "same vertex triple (strict mode)",
+        "two_edge_disk": "bound a two-edge disk",
+        "disconnected": "mesh is disconnected",
+    }
+    docs = _corrupted_docs()
+    assert set(docs) == set(expect)
+    for name, doc in docs.items():
+        assert any(expect[name] in m for m in cf.validate(_mesh_of(doc))), name
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_cases()))
+def test_validate_matches_loop_oracle(name):
+    mesh = _oracle_cases()[name]
+    assert cf.validate(mesh) == mesh_oracle.validate(mesh)
+
+
+@pytest.mark.parametrize("name", sorted(_corrupted_docs()))
+def test_parse_reports_the_oracle_violations(tmp_path, name):
+    doc = _corrupted_docs()[name]
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(files.MeshValidationError) as exc:
+        files.parse_mesh(p)
+    assert exc.value.violations == mesh_oracle.validate(_mesh_of(doc))
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_cases()))
+def test_derived_tables_match_loop_oracle(name):
+    mesh = _oracle_cases()[name]
+    indptr, corners = mesh.edge_face_slots
+    slots = [
+        [(int(c) // 3, int(c) % 3) for c in corners[indptr[e] : indptr[e + 1]]]
+        for e in range(mesh.edge_count)
+    ]
+    assert slots == mesh_oracle.edge_face_slots(mesh)
+    assert np.array_equal(mesh.vertex_degrees(), mesh_oracle.vertex_degrees(mesh))
+    pairs = mesh.pair_edges()
+    assert list(pairs.items()) == list(mesh_oracle.pair_edges(mesh).items())
+    assert _connected(mesh) == mesh_oracle.connected(mesh)
+
+
+def test_views_and_arrays_agree():
+    for mesh in catalog().values():
+        assert [tuple(e) for e in mesh.edges] == [
+            (a, b, w) for (a, b), w in zip(mesh.edge_endpoints.tolist(), mesh.edge_weights.tolist())
+        ]
+        assert [f.vertices for f in mesh.faces] == [tuple(v) for v in mesh.face_vertices.tolist()]
+        assert [f.edges for f in mesh.faces] == [tuple(e) for e in mesh.face_edge_ids.tolist()]
+        assert mesh.edges is mesh.edges and mesh.faces is mesh.faces  # built once
+        with pytest.raises(ValueError):
+            mesh.face_vertices[0, 0] = 1  # read-only state
+
+
+def test_constructor_rejects_malformed_rows():
+    g2 = meshes.genus_2()
+    again = WeightedTriangulation(
+        g2.vertex_count,
+        zip(*g2.edge_endpoints.T, g2.edge_weights),
+        zip(g2.face_vertices, g2.face_edge_ids),
+    )
+    assert again.edges == g2.edges and again.faces == g2.faces
+    with pytest.raises(ValueError, match="face 1: needs 3 vertices and 3 edges"):
+        WeightedTriangulation(4, [(0, 1, 0.0)], [((0, 1, 2), (0, 0, 0)), ((0, 1), (0, 0, 0))])
+    with pytest.raises(ValueError, match="face 0: edge id out of range"):
+        WeightedTriangulation(4, [(0, 1, 0.0)], [((0, 1, 2), (0, 0, 1))])
+    with pytest.raises(ValueError, match="face 0: vertex out of range"):
+        WeightedTriangulation(4, [(0, 1, 0.0)], [((0, 1, 4), (0, 0, 1))])
+    with pytest.raises(ValueError, match="out of range"):
+        WeightedTriangulation(4, [(0, 1, 0.0)], [((0, 1, 10**30), (0, 0, 0))])
