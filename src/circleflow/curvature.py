@@ -235,7 +235,7 @@ def curvature_hessian(mesh: WeightedTriangulation, metric: PackingMetric) -> sp.
     jac, _, _ = _dtheta_dr(geom, face_radii, mesh.face_weights)
     s_col = s_func(geom, face_radii)  # s(r_m) along the column slot
     contrib = -jac * s_col[:, None, :]
-    indptr, indices, slots = mesh._corner_pair_pattern
+    indptr, indices, slots, _diagonal = mesh._corner_pair_pattern
     data = np.bincount(slots.ravel(), weights=contrib.ravel(), minlength=indices.size)
     n = mesh.vertex_count
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))

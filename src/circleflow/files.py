@@ -95,9 +95,8 @@ def parse_mesh(path):
         raise MeshFormatError("mesh file must hold a JSON object")
     try:
         geometry = Geometry.from_tag(raw["geometry"])
-        n = int(raw["vertices"])
         mesh = WeightedTriangulation(
-            n,
+            raw["vertices"],
             [(e["a"], e["b"], _weight_value(e["weight"])) for e in raw["edges"]],
             [(f["v"], f["e"]) for f in raw["faces"]],
             allow_duplicate_triples=bool(raw.get("allow_duplicate_triples", False)),
@@ -109,6 +108,7 @@ def parse_mesh(path):
     violations = validate(mesh)
     if violations:
         raise MeshValidationError(violations)
+    n = mesh.vertex_count
     radii = raw.get("radii")
     radii = default_radii(geometry, n) if radii is None else _float_array(radii, n, "radii")
     try:

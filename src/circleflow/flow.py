@@ -5,33 +5,32 @@ The evolution is du_i/dt = -(K_i - target_i) in the flow coordinates of
 Default targets are the average curvature 2*pi*chi/N in Euclidean geometry
 and zero otherwise.
 
-`run_flow` and `newton_solve` seek the same fixed point and share one solve
-loop: it starts from the metric, tests the sup-norm residual against the
-tolerance before every step and after the last one, enforces the step cap,
-and hands every accepted state to the caller.  Each solver supplies only its
-step.
+`run_flow` and `newton_solve` share one solve loop: it starts from the
+metric, tests the sup-norm residual against the tolerance before every step
+and after the last one, enforces the step cap, and hands every accepted state
+to the caller.  Both steps solve (A + shift*I) delta = -(K - target) by
+Jacobi-preconditioned conjugate gradients, where A is the curvature Jacobian,
+a symmetric M-matrix (the problem is convex in Euclidean and hyperbolic
+geometry).  In Euclidean geometry, where A is singular on the constants, the
+solve runs on the sum = 0 gauge, so the product of the radii never drifts.
 
-`run_flow` steps with explicit Euler under step doubling: a step is accepted
-only if the state stays in the geometric domain and the sup-norm gap between
-one full step and two half steps stays below a per-step budget proportional
-to the current curvature residual.  Euclidean updates are projected onto
-sum(du) = 0, so the product of the radii is preserved and the scale gauge
-never drifts.  Spherical runs use the same machinery but keep the per-face
-radius-sum constraint as a step guard and never report a verdict stronger
-than "stopped"/"constraint_hit": there is no convergence theory to promise
-more.
+`run_flow` takes linearly implicit Euler steps (I + hA) du = -h (K - target),
+i.e. shift = 1/h.  A step is accepted in the domain when the error estimate
+(h/4) |A (K(u + du) - K(u))|_inf, to leading order the gap between one step
+and two half steps, is within a budget proportional to the residual; h then
+grows by at most 2.  (I + hA)^-1 is nonnegative, so the maximum principle
+holds at every h up to that budget.  A mode of rate lambda contracts by
+1/(1 + h lambda), so t advances by log1p(h lambda)/lambda, lambda being the
+Rayleigh quotient of A at the gauge-projected residual (by h where it is not
+positive); that keeps the tail fit of `estimate_exponential_rate` faithful.
+Spherical runs keep the per-face radius-sum constraint as a step guard and
+never report a verdict stronger than "stopped"/"constraint_hit": there is no
+convergence theory.
 
-`newton_solve` steps with damped Newton on the curvature Jacobian, a
-symmetric M-matrix (the problem is convex in Euclidean and hyperbolic
-geometry).  Each direction comes from Jacobi-preconditioned conjugate
-gradients, stopped at relative residual 1e-10 or after one iteration per
-vertex; in Euclidean geometry, where the Jacobian is singular on the
-constants, right-hand side and direction are projected onto sum = 0.  The
-line search accepts only a strictly lower residual, so an inexact direction
-costs at most a rejected step, and the last iterate is always the best one.
-`potential_value` integrates the underlying closed 1-form sum (K_i -
-target_i) du_i along straight segments, which is the convex potential whose
-gradient the solvers chase.
+`newton_solve` is the limit h -> infinity (shift = 0) with a line search that
+accepts only a strictly lower residual, so the last iterate is the best one.
+`potential_value` integrates the closed 1-form sum (K_i - target_i) du_i along
+straight segments: the convex potential whose gradient the solvers chase.
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ __all__ = [
 ]
 
 MIN_STEP = 1e-12
-# relative residual at which conjugate gradients stops a Newton direction
+# relative residual at which conjugate gradients stops a solve
 _CG_RTOL = 1e-10
 
-MODE_EULER = "explicit_euler"
+MODE_EULER = "implicit_euler"
 MODE_NEWTON = "newton"
 
 
@@ -93,14 +92,14 @@ class FlowConfig:
     """Solve parameters.
 
     tol_curvature and max_steps default per mode (1e-8 / 1e6 for the flow,
-    1e-10 / 100 for Newton).  The per-step error budget is
-    max(step_atol, step_rtol * current residual); a budget proportional to the
-    residual keeps explicit Euler inside its stability region all the way down.
+    1e-10 / 100 for Newton).  The flow starts at step step_init; its per-step
+    error budget is max(step_atol, step_rtol * current residual), which alone
+    bounds the step size: a budget proportional to the residual keeps the
+    error of each step a fixed fraction of the distance still to go.
     """
 
     target_curvatures: Optional[np.ndarray] = None
     step_init: float = 0.1
-    step_max: float = 1.0
     tol_curvature: Optional[float] = None
     max_steps: Optional[int] = None
     mode: str = MODE_EULER
@@ -172,12 +171,15 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One flow step: dt is the flow time it covers (see the module notes)."""
+
     u: UCoordinates
     accepted: bool
     h_used: float
     h_next: float
     error_estimate: float
     curvatures: Optional[np.ndarray] = None
+    dt: float = 0.0
 
 
 class NewtonNonConvergenceError(RuntimeError):
@@ -211,6 +213,32 @@ class _Evaluator:
             return curvature_state(self.mesh, self.metric(u)).curvatures
         except (DomainError, DegenerateTriangleError):
             return None
+
+    def hessian(self, u: np.ndarray) -> sp.csr_matrix:
+        # a degenerate face gives non-finite entries, and `solve` None
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return curvature_hessian(self.mesh, self.metric(u))
+
+    def solve(self, hess: sp.csr_matrix, grad: np.ndarray, shift: float = 0.0):
+        """delta with (hess + shift*I) delta = -grad, or None when it is not
+        finite; `hess` is on the mesh's cached pattern, whose diagonal slots
+        take the shift."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if shift:
+                data = hess.data.copy()
+                data[self.mesh._corner_pair_pattern[3]] += shift
+                hess = sp.csr_matrix((data, hess.indices, hess.indptr), shape=hess.shape)
+            jacobi = sp.diags(1.0 / hess.diagonal())
+            # the cap bounds a solve that iterates on NaN; an inexact delta
+            # is still guarded by the caller's acceptance test
+            delta, _info = spla.cg(
+                hess, _project_gauge(-grad, self.geometry), rtol=_CG_RTOL, maxiter=grad.size,
+                M=jacobi,
+            )
+            delta = _project_gauge(delta, self.geometry)
+        if not np.all(np.isfinite(delta)):
+            return None
+        return delta
 
 
 def _project_gauge(delta: np.ndarray, geometry: Geometry) -> np.ndarray:
@@ -254,67 +282,49 @@ def _solve(ev: _Evaluator, metric: PackingMetric, cfg: FlowConfig, step, on_acce
     return Termination.CONVERGED, u, curv, k
 
 
-def _attempt_step(ev, cfg, u, curv, h):
-    """One adaptive explicit-Euler step; halves h until acceptance or underflow."""
-    targets = cfg.target_curvatures
-    rhs = _project_gauge(-(curv - targets), ev.geometry)
-    resid = float(np.abs(curv - targets).max())
-    budget = max(cfg.step_atol, cfg.step_rtol * resid)
+def _implicit_step(ev, cfg, u, curv, h):
+    """One linearly implicit Euler step from u; halves h until acceptance or
+    underflow."""
+    grad = curv - cfg.target_curvatures
+    budget = max(cfg.step_atol, cfg.step_rtol * float(np.abs(grad).max()))
+    hess = ev.hessian(u)
+    f = _project_gauge(grad, ev.geometry)
+    ff = float(f @ f)
+    lam = float(f @ (hess @ f)) / ff if ff > 0.0 else 0.0
     while h >= MIN_STEP:
-        u_full = u + h * rhs
-        k_full = ev.try_curvatures(u_full)
-        if k_full is None:
-            h *= 0.5
-            continue
-        u_half = u + (0.5 * h) * rhs
-        k_half = ev.try_curvatures(u_half)
-        if k_half is None:
-            h *= 0.5
-            continue
-        rhs_half = _project_gauge(-(k_half - targets), ev.geometry)
-        u_two = u_half + (0.5 * h) * rhs_half
-        k_two = ev.try_curvatures(u_two)
-        if k_two is None:
-            h *= 0.5
-            continue
-        err = float(np.abs(k_full - k_two).max())
-        if err <= budget:
-            h_next = min(cfg.step_max, 2.0 * h) if err <= 0.25 * budget else h
-            return StepResult(
-                u=UCoordinates(geometry=ev.geometry, u=u_full),
-                accepted=True,
-                h_used=h,
-                h_next=h_next,
-                error_estimate=err,
-                curvatures=k_full,
-            )
+        du = ev.solve(hess, grad, 1.0 / h)
+        k_new = None if du is None else ev.try_curvatures(u + du)
+        if k_new is not None:
+            err = 0.25 * h * float(np.abs(hess @ (k_new - curv)).max())
+            if err <= budget:
+                return StepResult(
+                    UCoordinates(geometry=ev.geometry, u=u + du), True, h,
+                    h_next=2.0 * h if err <= 0.25 * budget else h, error_estimate=err,
+                    curvatures=k_new, dt=math.log1p(h * lam) / lam if lam > 0.0 else h,
+                )
         h *= 0.5
-    return StepResult(
-        u=UCoordinates(geometry=ev.geometry, u=u),
-        accepted=False,
-        h_used=0.0,
-        h_next=h,
-        error_estimate=math.inf,
-    )
+    return StepResult(UCoordinates(geometry=ev.geometry, u=u), False, 0.0, h, math.inf)
 
 
 def euler_step(
     mesh: WeightedTriangulation, u: UCoordinates, config: FlowConfig, h: float
 ) -> StepResult:
-    """Single adaptive step from u; accepted=False signals degeneration
-    (the step size underflowed below 1e-12 without an acceptable step)."""
+    """The linearly implicit step that `run_flow` takes from u, trying h
+    first; accepted=False signals degeneration (the step size underflowed
+    below 1e-12 without an acceptable step)."""
     cfg = config.resolved(mesh, u.geometry)
     ev = _Evaluator(mesh, u.geometry)
     curv = ev.try_curvatures(np.asarray(u.u, dtype=float))
     if curv is None:
         raise DomainError("initial u-coordinates are outside the geometric domain")
-    return _attempt_step(ev, cfg, np.asarray(u.u, dtype=float), curv, float(h))
+    return _implicit_step(ev, cfg, np.asarray(u.u, dtype=float), curv, float(h))
 
 
 def run_flow(
     mesh: WeightedTriangulation, metric: PackingMetric, config: Optional[FlowConfig] = None
 ):
-    """Integrate the flow until the curvature residual drops below tolerance.
+    """Integrate the flow by linearly implicit Euler steps (`euler_step`)
+    until the curvature residual drops below tolerance.
 
     Returns (trace, report); report is None unless the run converged.  The
     trace records every accepted step (subject to record_every) plus the final
@@ -323,7 +333,7 @@ def run_flow(
     geometry = metric.geometry
     cfg = (config or FlowConfig()).resolved(mesh, geometry)
     if cfg.mode != MODE_EULER:
-        raise ValueError("run_flow integrates explicit_euler; use newton_solve for newton")
+        raise ValueError(f"run_flow integrates {MODE_EULER}; use newton_solve for newton")
     ev = _Evaluator(mesh, geometry)
     targets = cfg.target_curvatures
     # time, the step to try next, and the step that reached the current
@@ -335,10 +345,10 @@ def run_flow(
 
     def step(u, curv):
         nonlocal t, h, h_used
-        res = _attempt_step(ev, cfg, u, curv, h)
+        res = _implicit_step(ev, cfg, u, curv, h)
         if not res.accepted:
             return None
-        t, h, h_used = t + res.h_used, res.h_next, res.h_used
+        t, h, h_used = t + res.dt, res.h_next, res.h_used
         return res.u.u, res.curvatures
 
     def record(k, u, curv):
@@ -374,26 +384,6 @@ def run_flow(
 # -- Newton -------------------------------------------------------------------
 
 
-def _newton_direction(mesh, metric, grad, geometry):
-    """Solve hess . delta = -grad by Jacobi-preconditioned conjugate
-    gradients, on the sum-zero gauge in Euclidean geometry; None when delta
-    is not finite."""
-    # a degenerate face or an overflowing Hessian shows up as a non-finite
-    # delta, which ends the solve; the warnings on the way there are silenced
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        hess = curvature_hessian(mesh, metric)
-        jacobi = sp.diags(1.0 / hess.diagonal())
-        # the cap bounds a solve that iterates on NaN; an inexact delta is
-        # still guarded by the line search
-        delta, _info = spla.cg(
-            hess, _project_gauge(-grad, geometry), rtol=_CG_RTOL, maxiter=grad.size, M=jacobi
-        )
-        delta = _project_gauge(delta, geometry)
-    if not np.all(np.isfinite(delta)):
-        return None
-    return delta
-
-
 def newton_solve(
     mesh: WeightedTriangulation,
     metric: PackingMetric,
@@ -422,7 +412,7 @@ def newton_solve(
 
     def step(u, curv):
         grad = curv - targets
-        delta = _newton_direction(mesh, ev.metric(u), grad, geometry)
+        delta = ev.solve(ev.hessian(u), grad)
         if delta is None:
             return None
         resid = float(np.abs(grad).max())

@@ -52,6 +52,15 @@ class Face(NamedTuple):
     edges: tuple  # (e_jk, e_ki, e_ij): slot n is the edge opposite vertex slot n
 
 
+def _integers(values) -> np.ndarray:
+    """`values` as int64; ValueError unless numpy reads them all as integers
+    (not bools, floats or strings).  uint64 beyond int64 wraps negative."""
+    arr = np.asarray(values)
+    if arr.dtype == object or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError("count or id out of range or not an integer")
+    return arr.astype(np.int64)
+
+
 class WeightedTriangulation:
     """Immutable triangulated closed surface with weighted edges, built from
     (a, b, weight) edge rows and (vertex triple, edge triple) face rows.
@@ -64,21 +73,19 @@ class WeightedTriangulation:
                  "edge_weights", "allow_duplicate_triples", "_cache")
 
     def __init__(self, vertex_count, edges, faces, *, allow_duplicate_triples=False):
-        n = int(vertex_count)
-        if n <= 0:
-            raise ValueError("vertex_count must be positive")
+        n = _integers(vertex_count)
+        if n.ndim or n <= 0:
+            raise ValueError("vertex_count must be a positive integer")
+        n = int(n)
         edges, faces = list(edges), list(faces)
         a, b, w = zip(*edges) if edges else ((), (), ())
         short = next((i for i, (v, e) in enumerate(faces) if len(v) != 3 or len(e) != 3), None)
         if short is not None:
             raise ValueError(f"face {short}: needs 3 vertices and 3 edges")
         verts, eids = zip(*faces) if faces else ((), ())
-        try:
-            ab = np.array([a, b], dtype=np.int64).T.copy()
-            fv = np.array(verts, dtype=np.int64).reshape(-1, 3)
-            fe = np.array(eids, dtype=np.int64).reshape(-1, 3)
-        except OverflowError:
-            raise ValueError("vertex or edge id out of range") from None
+        ab = _integers([a, b]).T.copy()
+        fv = _integers(verts).reshape(-1, 3)
+        fe = _integers(eids).reshape(-1, 3)
         bad = np.flatnonzero(((ab < 0) | (ab >= n)).any(axis=1))
         if bad.size:
             raise ValueError(f"edge {bad[0]}: endpoint out of range")
@@ -136,8 +143,9 @@ class WeightedTriangulation:
     @property
     def _corner_pair_pattern(self):
         """CSR pattern (indptr, indices) of the vertex pairs that share a face,
-        diagonal included, and the data slot of every (face, row corner,
-        column corner) entry, shape (F, 3, 3); repeated pairs share a slot."""
+        diagonal included, the data slot of every (face, row corner, column
+        corner) entry, shape (F, 3, 3), where repeated pairs share a slot,
+        and the data slot of each vertex's diagonal entry, shape (N,)."""
 
         def build():
             n = self.vertex_count
@@ -145,7 +153,8 @@ class WeightedTriangulation:
             pairs = (fv[:, :, None] * n + fv[:, None, :]).ravel()
             keys, slots = np.unique(pairs, return_inverse=True)
             indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-            return indptr, keys % n, slots.reshape(-1, 3, 3)
+            diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
+            return indptr, keys % n, slots.reshape(-1, 3, 3), diagonal
 
         return self._arr("cpairs", build)
 

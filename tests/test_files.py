@@ -223,3 +223,27 @@ def test_ragged_face_is_a_format_error(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(files.MeshFormatError):
         files.parse_mesh(p)
+
+
+@pytest.mark.parametrize("where, value", [
+    (("vertices",), 4.9),
+    (("vertices",), 4.0),
+    (("vertices",), True),
+    (("vertices",), [4]),
+    (("edges", 0, "b"), 2.7),
+    (("edges", 0, "a"), "0"),
+    (("faces", 1, "v", 0), 0.3),
+    (("faces", 1, "e", 2), 1.0),
+])
+def test_non_integer_counts_and_ids_are_format_errors(tmp_path, where, value):
+    # each of these used to be truncated (or coerced) into a valid tetrahedron
+    p = tmp_path / "m.json"
+    files.write_mesh(p, meshes.tetrahedron(), geometry=cf.Geometry.EUCLIDEAN)
+    doc = json.loads(p.read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(files.MeshFormatError, match="integer"):
+        files.parse_mesh(p)

@@ -447,3 +447,7 @@ def test_constructor_rejects_malformed_rows():
         WeightedTriangulation(4, [(0, 1, 0.0)], [((0, 1, 4), (0, 0, 1))])
     with pytest.raises(ValueError, match="out of range"):
         WeightedTriangulation(4, [(0, 1, 0.0)], [((0, 1, 10**30), (0, 0, 0))])
+    with pytest.raises(ValueError, match="not an integer"):
+        WeightedTriangulation(4, [(0, 1.5, 0.0)], [((0, 1, 2), (0, 0, 0))])
+    with pytest.raises(ValueError, match="not an integer"):
+        WeightedTriangulation(4.0, [(0, 1, 0.0)], [((0, 1, 2), (0, 0, 0))])
