@@ -173,14 +173,17 @@ def cmd_check(args, mesh, metric, targets) -> int:
     return EXIT_CONDITIONS
 
 
-def _degeneration_hint(mesh, targets, radii):
-    """Most negative target-sum-minus-bound margin over singletons and the
-    small-radius subset; the flow degenerates toward the tightest of these."""
+def _degeneration_hint(mesh, geometry, targets, radii):
+    """Most negative target-sum-minus-bound margin over singletons, the
+    small-radius subset and, in hyperbolic geometry, the whole vertex set;
+    the flow degenerates toward the tightest of these."""
     n = mesh.vertex_count
     member = np.eye(n, dtype=bool)
     small = radii < 0.05 * float(np.median(radii))
     if 0 < small.sum() < n:
         member = np.vstack([member, small])
+    if geometry is Geometry.HYPERBOLIC:
+        member = np.vstack([member, np.ones(n, dtype=bool)])
     margins = _subset_margins(mesh, targets, member)
     k = int(np.argmin(margins))
     return float(margins[k]), tuple(int(v) for v in np.flatnonzero(member[k]))
@@ -286,7 +289,7 @@ def cmd_flow(args, mesh, metric, targets) -> int:
         if geometry is Geometry.SPHERICAL:
             print("stopped: spherical mode, no convergence guarantee")
         if term is Termination.DEGENERATED:
-            margin, subset = _degeneration_hint(mesh, trace.targets, np.asarray(final.radii))
+            margin, subset = _degeneration_hint(mesh, geometry, trace.targets, final.radii)
             print(
                 f"degeneration hint: tightest probed subset {set(subset)} has "
                 f"target-sum minus bound {margin:.6g}"

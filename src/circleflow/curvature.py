@@ -4,13 +4,13 @@ A packing metric assigns one circle radius per vertex; each face then carries
 the geodesic triangle of `geometry.tri_angles`.  The curvature of a vertex is
 2*pi minus its cone angle (the sum of incident inner angles).
 
-`curvature_state` does only the work that depends on the radii; the incidence
-arrays it reads are cached on the mesh.  Each edge length is computed once
-per edge and gathered to the faces, and the cone angles are summed with one
-`np.bincount` over the corner->vertex index, so each per-vertex sum runs in
-the fixed corner order of the face table (a relabelling of the faces may move
-it by rounding).  The two Gauss-Bonnet totals are still exact sums
-(math.fsum).
+`curvature_state`, `curvature_hessian` and `layout.develop_layout` share one
+face table (`_face_table`): each edge length is computed once per edge and
+gathered to the faces, on incidence arrays cached on the mesh.  The cone
+angles are summed with one `np.bincount` over the corner->vertex index, so
+each per-vertex sum runs in the fixed corner order of the face table (a
+relabelling of the faces may move it by rounding).  The two Gauss-Bonnet
+totals are still exact sums (math.fsum).
 
 The flow works in coordinates u with du/dr = 1/s(r): u = ln r (Euclidean),
 ln tanh(r/2) (hyperbolic, so u < 0), ln tan(r/2) (spherical).  In these
@@ -150,20 +150,25 @@ def resolve_targets(
     return targets
 
 
-def _face_radii(mesh: WeightedTriangulation, metric: PackingMetric) -> np.ndarray:
-    if metric.radii.shape != (mesh.vertex_count,):
-        raise DomainError(
-            f"metric has {metric.radii.size} radii for {mesh.vertex_count} vertices"
-        )
-    return metric.radii[mesh.face_vertices]
-
-
-def _check_spherical_faces(mesh, face_radii):
-    sums = face_radii.sum(axis=1)
-    bad = np.nonzero(sums >= math.pi)[0]
-    if bad.size:
-        f = int(bad[0])
-        raise DomainError(f"face {f}: spherical radii sum {sums[f]} >= pi")
+def _face_table(mesh: WeightedTriangulation, metric: PackingMetric):
+    """(face radii, side lengths, inner angles), each (F, 3) in face-slot order.
+    Raises DomainError for a metric of the wrong size or a spherical face of
+    radius sum >= pi, DegenerateTriangleError for a face with no triangle."""
+    geom = metric.geometry
+    r = metric.radii
+    if r.shape != (mesh.vertex_count,):
+        raise DomainError(f"metric has {r.size} radii for {mesh.vertex_count} vertices")
+    face_radii = r[mesh.face_vertices]
+    if geom is Geometry.SPHERICAL:
+        sums = face_radii.sum(axis=1)
+        bad = np.nonzero(sums >= math.pi)[0]
+        if bad.size:
+            f = int(bad[0])
+            raise DomainError(f"face {f}: spherical radii sum {sums[f]} >= pi")
+    ends = mesh.edge_endpoints
+    edge_lengths = edge_length(geom, r[ends[:, 0]], r[ends[:, 1]], mesh.edge_weights)
+    lengths = edge_lengths[mesh.face_edge_ids]
+    return face_radii, lengths, angles_from_lengths(geom, lengths)
 
 
 @dataclass(frozen=True)
@@ -189,13 +194,7 @@ def curvature_state(
     """Evaluate vertex curvatures; raises GaussBonnetViolation if the total
     curvature identity degrades beyond gb_tol."""
     geom = metric.geometry
-    face_radii = _face_radii(mesh, metric)
-    if geom is Geometry.SPHERICAL:
-        _check_spherical_faces(mesh, face_radii)
-    r = metric.radii
-    ends = mesh.edge_endpoints
-    edge_lengths = edge_length(geom, r[ends[:, 0]], r[ends[:, 1]], mesh.edge_weights)
-    angles = angles_from_lengths(geom, edge_lengths[mesh.face_edge_ids])
+    _, _, angles = _face_table(mesh, metric)
     cone = np.bincount(
         mesh.face_vertices.ravel(), weights=angles.ravel(), minlength=mesh.vertex_count
     )
@@ -229,10 +228,8 @@ def curvature_hessian(mesh: WeightedTriangulation, metric: PackingMetric) -> sp.
     so each call only sums the face entries into `data` with one bincount.
     """
     geom = metric.geometry
-    face_radii = _face_radii(mesh, metric)
-    if geom is Geometry.SPHERICAL:
-        _check_spherical_faces(mesh, face_radii)
-    jac, _, _ = _dtheta_dr(geom, face_radii, mesh.face_weights)
+    face_radii, lengths, angles = _face_table(mesh, metric)
+    jac = _dtheta_dr(geom, face_radii, mesh.face_weights, lengths, angles)
     s_col = s_func(geom, face_radii)  # s(r_m) along the column slot
     contrib = -jac * s_col[:, None, :]
     indptr, indices, slots, _diagonal = mesh._corner_pair_pattern

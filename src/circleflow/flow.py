@@ -8,7 +8,8 @@ and zero otherwise.
 `run_flow` and `newton_solve` share one solve loop: it starts from the
 metric, tests the sup-norm residual against the tolerance before every step
 and after the last one, enforces the step cap, and hands every accepted state
-to the caller.  Both steps solve (A + shift*I) delta = -(K - target) by
+to the caller.  Hyperbolic targets that admit no metric end it at the start
+as a degeneration.  Both steps solve (A + shift*I) delta = -(K - target) by
 Jacobi-preconditioned conjugate gradients, where A is the curvature Jacobian,
 a symmetric M-matrix (the problem is convex in Euclidean and hyperbolic
 geometry).  In Euclidean geometry, where A is singular on the constants, the
@@ -44,6 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .conditions import _hyperbolic_bounds
 from .curvature import (PackingMetric, UCoordinates, curvature_hessian, curvature_state,
                         default_targets, from_u, resolve_targets, to_u)
 from .geometry import DegenerateTriangleError, DomainError, Geometry
@@ -262,15 +264,19 @@ def _solve(ev: _Evaluator, metric: PackingMetric, cfg: FlowConfig, step, on_acce
     it finds none; `on_accept(k, u, curv)` sees the start (k = 0) and the
     state after each accepted step k.  Returns (termination, u, curvatures,
     accepted steps) with termination CONVERGED, DEGENERATED (no step found)
-    or MAX_STEPS.
+    or MAX_STEPS.  Hyperbolic targets that break `_hyperbolic_bounds` admit
+    no metric, so those stop DEGENERATED right after the start.
     """
     u = np.asarray(to_u(metric).u, dtype=float)
     curv = ev.try_curvatures(u)
     if curv is None:
         raise DomainError("initial metric is outside the geometric domain")
     on_accept(0, u, curv)
+    targets = cfg.target_curvatures
+    if ev.geometry is Geometry.HYPERBOLIC and _hyperbolic_bounds(ev.mesh, targets):
+        return Termination.DEGENERATED, u, curv, 0
     k = 0
-    while float(np.abs(curv - cfg.target_curvatures).max()) > cfg.tol_curvature:
+    while float(np.abs(curv - targets).max()) > cfg.tol_curvature:
         if k == cfg.max_steps:
             return Termination.MAX_STEPS, u, curv, k
         nxt = step(u, curv)
@@ -401,7 +407,7 @@ def newton_solve(
     domain, so the last iterate is always the best one.  `on_iterate(k,
     metric, curvatures)` sees the start (k = 0) and every iterate.  Raises
     NewtonNonConvergenceError, carrying the last iterate, when tolerance is
-    out of reach.
+    out of reach (at iteration 0 for hyperbolic targets with no metric).
     """
     geometry = metric.geometry
     if geometry is Geometry.SPHERICAL:

@@ -8,6 +8,19 @@ tangency.  The three circle centers span a geodesic triangle whose edge
 lengths and inner angles are what everything downstream (curvature, flow,
 Hessians) consumes.
 
+With s the generalized sine of `s_func` (x, sinh x or sin x), one pair of
+half-angle laws serves all three geometries, and a table of (s, s', s^-1)
+is the only per-geometry part of the formulas:
+
+    s(l/2)^2 = s((r_a + r_b)/2)^2 - s(r_a) s(r_b) sin^2(w/2)
+    tan(theta_a/2) = sqrt(s(sigma-b) s(sigma-c) / (s(sigma) s(sigma-a)))
+
+(l the edge of two circles crossing at angle w; theta_a the angle opposite
+side a, sigma the semi-perimeter).  Neither subtracts numbers near 1, so
+small curved faces keep their digits.  The first radicand is nonnegative
+since s is log-concave; the second law is used exactly where every
+sigma - x > 0 (and sigma < pi on the sphere), else DegenerateTriangleError.
+
 All functions broadcast over leading axes; the slot axis of size 3 is
 always last.  Angles are radians throughout.
 """
@@ -21,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "COS_CLAMP_TOL",
     "DegenerateTriangleError",
     "DomainError",
     "Geometry",
@@ -35,12 +47,6 @@ __all__ = [
     "tri_angles",
     "triangle_lengths",
 ]
-
-# Cosine arguments may leave [-1, 1] by rounding; anything beyond this slack
-# is treated as a genuinely impossible configuration.
-COS_CLAMP_TOL = 1e-9
-
-_TWO_PI = 2.0 * math.pi
 
 # (row, col, third) index triples for the off-diagonal derivative entries.
 _OFF_SLOTS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -79,83 +85,66 @@ class Geometry(enum.IntEnum):
             raise DomainError(f"unknown geometry tag {tag!r}") from None
 
 
+# (s, s', s^-1) per geometry
+_TRIG = {
+    Geometry.EUCLIDEAN: (np.positive, np.ones_like, np.positive),
+    Geometry.HYPERBOLIC: (np.sinh, np.cosh, np.arcsinh),
+    Geometry.SPHERICAL: (np.sin, np.cos, np.arcsin),
+}
+
+
 def s_func(geometry: Geometry, x):
     """Generalized sine s(x): x, sinh x, or sin x depending on the geometry."""
-    x = np.asarray(x, dtype=float)
-    if geometry is Geometry.EUCLIDEAN:
-        return +x
-    if geometry is Geometry.HYPERBOLIC:
-        return np.sinh(x)
-    return np.sin(x)
-
-
-def _clamped_arccos(arg, what: str, err: type):
-    arg = np.asarray(arg, dtype=float)
-    bad = ~np.isfinite(arg) | (np.abs(arg) > 1.0 + COS_CLAMP_TOL)
-    if np.any(bad):
-        worst = arg[bad].ravel()[0] if np.isfinite(arg[bad]).any() else float("nan")
-        raise err(f"{what}: cosine argument {worst} outside [-1, 1] beyond tolerance")
-    return np.arccos(np.clip(arg, -1.0, 1.0))
+    return _TRIG[geometry][0](np.asarray(x, dtype=float))
 
 
 def edge_length(geometry: Geometry, r_a, r_b, weight):
     """Distance between the centers of two circles crossing at angle `weight`.
 
     Weight 0 gives externally tangent circles, length r_a + r_b, in every
-    geometry.  Spherical inputs must keep the argument of arccos in range;
-    anything worse than rounding noise raises DomainError.
+    geometry.
     """
+    s, _, s_inv = _TRIG[geometry]
     r_a = np.asarray(r_a, dtype=float)
     r_b = np.asarray(r_b, dtype=float)
-    cw = np.cos(np.asarray(weight, dtype=float))
-    if geometry is Geometry.EUCLIDEAN:
-        return np.sqrt(r_a * r_a + r_b * r_b + 2.0 * r_a * r_b * cw)
-    if geometry is Geometry.HYPERBOLIC:
-        arg = np.cosh(r_a) * np.cosh(r_b) + np.sinh(r_a) * np.sinh(r_b) * cw
-        # arg >= cosh(r_a - r_b) >= 1 analytically; guard rounding only.
-        return np.arccosh(np.maximum(arg, 1.0))
-    arg = np.cos(r_a) * np.cos(r_b) - np.sin(r_a) * np.sin(r_b) * cw
-    return _clamped_arccos(arg, "spherical edge length", DomainError)
+    mid = s(0.5 * (r_a + r_b))
+    sin2 = np.sin(0.5 * np.asarray(weight, dtype=float)) ** 2
+    return 2.0 * s_inv(np.sqrt(mid * mid - s(r_a) * s(r_b) * sin2))
 
 
 def _edge_length_dr(geometry: Geometry, r_a, r_b, weight, length):
     """d length / d r_a with r_b and the weight held fixed."""
-    cw = np.cos(np.asarray(weight, dtype=float))
-    if geometry is Geometry.EUCLIDEAN:
-        return (r_a + r_b * cw) / length
-    if geometry is Geometry.HYPERBOLIC:
-        return (np.sinh(r_a) * np.cosh(r_b) + np.cosh(r_a) * np.sinh(r_b) * cw) / np.sinh(length)
-    return (np.sin(r_a) * np.cos(r_b) + np.cos(r_a) * np.sin(r_b) * cw) / np.sin(length)
+    s, c, _ = _TRIG[geometry]
+    return (s(r_a + r_b) - 2.0 * c(r_a) * s(r_b) * np.sin(0.5 * weight) ** 2) / s(length)
 
 
 def triangle_lengths(geometry: Geometry, radii, weights):
     """Edge lengths (..., 3) of a face; slot n is the edge opposite circle n."""
     radii = np.asarray(radii, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    r_next = radii[..., _NEXT]
-    r_prev = radii[..., _PREV]
-    return edge_length(geometry, r_next, r_prev, weights)
+    return edge_length(geometry, radii[..., _NEXT], radii[..., _PREV], weights)
 
 
 def angles_from_lengths(geometry: Geometry, lengths):
     """Inner angles (..., 3) of the geodesic triangle with the given side lengths.
 
-    Raises DegenerateTriangleError when the sides violate the triangle
-    inequality beyond rounding slack.
+    Raises DegenerateTriangleError unless every semi-perimeter gap sigma - x
+    is positive (and sigma < pi on the sphere); a non-finite side fails too.
     """
+    s = _TRIG[geometry][0]
     x = np.asarray(lengths, dtype=float)
-    xj = x[..., _NEXT]
-    xk = x[..., _PREV]
-    # a side collapsing to 0 (or to pi on the sphere) divides by zero here;
-    # the clamp below turns the resulting inf/nan into the degeneracy error
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if geometry is Geometry.EUCLIDEAN:
-            arg = (xj * xj + xk * xk - x * x) / (2.0 * xj * xk)
-        elif geometry is Geometry.HYPERBOLIC:
-            arg = (np.cosh(xj) * np.cosh(xk) - np.cosh(x)) / (np.sinh(xj) * np.sinh(xk))
-        else:
-            arg = (np.cos(x) - np.cos(xj) * np.cos(xk)) / (np.sin(xj) * np.sin(xk))
-    return _clamped_arccos(arg, "triangle angles", DegenerateTriangleError)
+    sigma = 0.5 * x.sum(axis=-1, keepdims=True)
+    # an infinite side gives inf - inf here, which the test below refuses
+    with np.errstate(invalid="ignore"):
+        gap = sigma - x
+    ok = np.all(gap > 0.0, axis=-1)
+    if geometry is Geometry.SPHERICAL:
+        ok &= sigma[..., 0] < math.pi
+    if not np.all(ok):
+        bad = int(np.flatnonzero(~ok.ravel())[0])
+        sides = x.reshape(-1, 3)[bad].tolist()
+        raise DegenerateTriangleError(f"triangle {bad}: sides {sides} bound no triangle")
+    sg = s(gap)
+    return 2.0 * np.arctan2(np.sqrt(sg[..., _NEXT] * sg[..., _PREV]), np.sqrt(s(sigma) * sg))
 
 
 @dataclass(frozen=True)
@@ -252,13 +241,12 @@ def _dlength_dr(geometry: Geometry, radii, weights, lengths):
     return out
 
 
-def _dtheta_dr(geometry: Geometry, radii, weights):
-    """Jacobian (..., 3, 3) of angles w.r.t. radii, chained through lengths."""
-    lengths = triangle_lengths(geometry, radii, weights)
-    angles = angles_from_lengths(geometry, lengths)
+def _dtheta_dr(geometry: Geometry, radii, weights, lengths, angles):
+    """Jacobian (..., 3, 3) of angles w.r.t. radii, chained through the
+    face's side lengths and angles."""
     jx = _dtheta_dx(geometry, lengths, angles)
     jr = _dlength_dr(geometry, radii, weights, lengths)
-    return np.einsum("...np,...pm->...nm", jx, jr), lengths, angles
+    return np.einsum("...np,...pm->...nm", jx, jr)
 
 
 def dtheta_dx(angles: TriangleAngles, geometry: Geometry) -> np.ndarray:
@@ -274,7 +262,7 @@ def dtheta_dr(config: TriangleConfig) -> np.ndarray:
     positive in hyperbolic, Euclidean, or spherical geometry respectively.
     For weights in (pi/2, pi) no sign structure is promised.
     """
+    ang = tri_angles(config)
     radii = np.asarray(config.radii, dtype=float)
     weights = np.asarray(config.weights, dtype=float)
-    jac, _, _ = _dtheta_dr(config.geometry, radii, weights)
-    return jac
+    return _dtheta_dr(config.geometry, radii, weights, ang.lengths, ang.angles)

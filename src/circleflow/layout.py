@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import PackingMetric, _face_radii
-from .geometry import Geometry, angles_from_lengths, triangle_lengths
+from .curvature import PackingMetric, _face_table
+from .geometry import Geometry
 from .mesh import WeightedTriangulation
 
 __all__ = ["LayoutPlan", "develop_layout", "hyperbolic_circle", "render_svg"]
@@ -93,9 +93,7 @@ def develop_layout(
     if geometry is Geometry.SPHERICAL:
         raise ValueError("layout needs a Euclidean or hyperbolic metric")
     hyperbolic = geometry is Geometry.HYPERBOLIC
-    radii = _face_radii(mesh, metric)
-    lengths = triangle_lengths(geometry, radii, mesh.face_weights)
-    angles = angles_from_lengths(geometry, lengths)
+    _, lengths, angles = _face_table(mesh, metric)
     # Euclidean coordinate distance of a point at metric distance d from 0
     reach = np.tanh(0.5 * lengths) if hyperbolic else lengths
     fv = mesh.face_vertices

@@ -13,7 +13,6 @@ from collections import deque
 
 import numpy as np
 
-from circleflow.curvature import _face_radii
 from circleflow.geometry import Geometry, angles_from_lengths, triangle_lengths
 from circleflow.layout import LayoutPlan
 from mesh_oracle import edge_face_slots
@@ -73,7 +72,7 @@ def develop_layout(mesh, metric, seed_face: int = None) -> LayoutPlan:
     geometry = metric.geometry
     if geometry is Geometry.SPHERICAL:
         raise ValueError("layout needs a Euclidean or hyperbolic metric")
-    radii = _face_radii(mesh, metric)
+    radii = np.asarray(metric.radii)[mesh.face_vertices]
     lengths = triangle_lengths(geometry, radii, mesh.face_weights)
     angles = angles_from_lengths(geometry, lengths)
     fv = mesh.face_vertices

@@ -89,6 +89,11 @@ def test_check_zero_hyperbolic_targets_on_a_torus(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 4 and doc["overall"] == "fails" and doc["loops"] is None
     assert doc["subset"]["witness"] == list(range(7))
+    # the flow stops at the start, and its hint names the same whole set
+    code = cli.run(["flow", str(path)])
+    out = capsys.readouterr().out
+    assert code == 5 and "flow degenerated: 1 samples" in out
+    assert "tightest probed subset {0, 1, 2, 3, 4, 5, 6}" in out
 
 
 def test_flow_writes_trace_and_mesh(tmp_path, capsys):

@@ -90,14 +90,17 @@ def test_areas_by_geometry(rng):
     assert sts.total_area is not None and sts.total_area > 0
 
 
-def test_gauss_bonnet_residual_and_violation():
+def test_gauss_bonnet_residual_and_violation(monkeypatch):
     tet = meshes.tetrahedron()
     radii = np.random.default_rng(1).uniform(0.5, 2.5, 4)
     m = cf.PackingMetric(geometry=cf.Geometry.EUCLIDEAN, radii=radii)
     st = cf.curvature_state(tet, m)
-    assert 0 < abs(st.gb_residual) < 1e-12
-    with pytest.raises(cf.GaussBonnetViolation):
-        cf.curvature_state(tet, m, gb_tol=0.0)
+    assert abs(st.gb_residual) < 1e-12
+    # an Euler characteristic off by one puts the identity 2*pi off, whatever
+    # the rounding of the angle sums
+    monkeypatch.setattr(cf.curvature, "euler_characteristic", lambda mesh: 3)
+    with pytest.raises(cf.GaussBonnetViolation, match="defect -6.28"):
+        cf.curvature_state(tet, m)
 
 
 def _oracle_cone_angles(mesh, metric):
@@ -147,7 +150,9 @@ def _coo_hessian(mesh, metric):
     converted to CSR, which sums the repeated vertex pairs."""
     g = metric.geometry
     face_radii = metric.radii[mesh.face_vertices]
-    jac, _, _ = _dtheta_dr(g, face_radii, mesh.face_weights)
+    lengths = cf.triangle_lengths(g, face_radii, mesh.face_weights)
+    angles = cf.angles_from_lengths(g, lengths)
+    jac = _dtheta_dr(g, face_radii, mesh.face_weights, lengths, angles)
     contrib = -jac * cf.s_func(g, face_radii)[:, None, :]
     fv = mesh.face_vertices
     rows = np.broadcast_to(fv[:, :, None], contrib.shape).ravel()
@@ -219,6 +224,27 @@ def test_hessian_structure_all_geometries(rng):
             assert np.abs(H.sum(axis=1)).max() < 1e-10
         elif g is cf.Geometry.HYPERBOLIC:
             assert scipy.linalg.eigvalsh(H).min() > 0
+
+
+def test_hyperbolic_curvature_tends_to_euclidean_at_small_radii():
+    # a hyperbolic face of radii ~r is Euclidean up to O(r^2); the half-angle
+    # kernel keeps that gap down to r ~ 1e-8 (the law of cosines cancels near
+    # 1 and loses it from 1e-4 on), and the Hessian keeps its positive row sums
+    g2 = meshes.genus_2()
+    radii = math.exp(-1.0) * np.exp(0.3 * np.random.default_rng(0).standard_normal(11))
+    k_euc = cf.curvature_state(g2, cf.PackingMetric(cf.Geometry.EUCLIDEAN, radii)).curvatures
+    gaps = {}
+    for scale in (1e-2, 1e-4, 1e-6, 1e-8):
+        metric = cf.PackingMetric(cf.Geometry.HYPERBOLIC, radii * scale)
+        gaps[scale] = np.abs(cf.curvature_state(g2, metric).curvatures - k_euc).max()
+    c = gaps[1e-2] / 1e-4
+    for scale in (1e-4, 1e-6):
+        assert 0.5 * c * scale**2 <= gaps[scale] <= 2.0 * c * scale**2, scale
+    assert gaps[1e-8] <= 1e-13
+    hess = cf.curvature_hessian(g2, cf.PackingMetric(cf.Geometry.HYPERBOLIC, radii * 1e-4))
+    assert cf.diagonal_dominance_verdict(hess) is cf.DefinitenessVerdict.POSITIVE_DEFINITE
+    hess = cf.curvature_hessian(g2, cf.PackingMetric(cf.Geometry.HYPERBOLIC, radii * 1e-6))
+    assert np.asarray(hess.sum(axis=1)).min() > 0.0
 
 
 def test_dominance_verdicts(rng):

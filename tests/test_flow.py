@@ -156,6 +156,34 @@ def test_degeneration_detected():
     assert len(trace.samples) <= 500
 
 
+@pytest.mark.parametrize("name", ["torus_7", "tetrahedron", "genus_2"])
+def test_impossible_hyperbolic_targets_stop_at_the_start(name):
+    # zero targets over chi >= 0 break sum K > 2*pi*chi, and a target of
+    # 2*pi breaks K_i < 2*pi: no metric exists, and neither solver may shrink
+    # the radii toward a residual under tolerance
+    mesh = getattr(meshes, name)()
+    n = mesh.vertex_count
+    targets = np.zeros(n)
+    if name == "genus_2":
+        targets[0] = 2 * math.pi
+    metric = cf.PackingMetric(geometry=cf.Geometry.HYPERBOLIC, radii=np.ones(n))
+    trace, report = cf.run_flow(mesh, metric, cf.FlowConfig(target_curvatures=targets))
+    assert trace.termination is cf.Termination.DEGENERATED and report is None
+    assert len(trace.samples) == 1
+    with pytest.raises(cf.NewtonNonConvergenceError) as exc:
+        cf.newton_solve(mesh, metric, cf.FlowConfig(target_curvatures=targets))
+    assert exc.value.iterations == 0
+
+
+def test_newton_converges_from_small_hyperbolic_radii():
+    # radii ~1e-4: the half-angle kernel keeps the Hessian an M-matrix there
+    g2 = meshes.genus_2()
+    radii = 1e-4 * math.exp(-1.0) * np.exp(0.3 * np.random.default_rng(0).standard_normal(11))
+    solved, iterations = cf.newton_solve(g2, cf.PackingMetric(cf.Geometry.HYPERBOLIC, radii))
+    assert iterations <= 10
+    assert np.abs(cf.curvature_state(g2, solved).curvatures).max() <= 1e-10
+
+
 def test_spherical_runs_have_no_convergence_verdict():
     tet = meshes.tetrahedron()
     m = cf.PackingMetric(geometry=cf.Geometry.SPHERICAL, radii=np.full(4, math.pi / 8))

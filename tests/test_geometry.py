@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circleflow as cf
+import geometry_oracle
+from circleflow.geometry import _edge_length_dr
 from conftest import draw_triangle
 
 GEOMS = (cf.Geometry.EUCLIDEAN, cf.Geometry.HYPERBOLIC, cf.Geometry.SPHERICAL)
@@ -166,3 +168,49 @@ def test_edge_length_positive_and_swap_invariant(ra, rb, w, gi):
     d = cf.edge_length(g, ra, rb, w)
     assert d > 0
     assert d == pytest.approx(cf.edge_length(g, rb, ra, w), abs=1e-14)
+
+
+ORACLE_RANGES = (
+    (cf.Geometry.EUCLIDEAN, 0.1, 3.0),
+    (cf.Geometry.HYPERBOLIC, 0.1, 3.0),
+    (cf.Geometry.HYPERBOLIC, 1.0, 5.0),
+    (cf.Geometry.SPHERICAL, 0.05, 1.0),
+)
+
+
+@pytest.mark.parametrize(
+    "geometry, lo, hi", ORACLE_RANGES, ids=[f"{g.tag}-{lo}-{hi}" for g, lo, hi in ORACLE_RANGES]
+)
+def test_kernel_matches_law_of_cosines_oracle(rng, geometry, lo, hi):
+    # random faces with weights in [0, pi/2]; spherical ones keep their
+    # radius sum under 0.95*pi, where the oracle's arccos still has its digits
+    radii = rng.uniform(lo, hi, (2000, 3))
+    if geometry is cf.Geometry.SPHERICAL:
+        radii = radii[radii.sum(axis=1) < 0.95 * math.pi]
+    weights = rng.uniform(0.0, math.pi / 2, radii.shape)
+    r_next, r_prev = radii[:, [1, 2, 0]], radii[:, [2, 0, 1]]
+    lengths = cf.triangle_lengths(geometry, radii, weights)
+    want = geometry_oracle.edge_length(geometry, r_next, r_prev, weights)
+    np.testing.assert_allclose(lengths, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        _edge_length_dr(geometry, r_next, r_prev, weights, lengths),
+        geometry_oracle.edge_length_dr(geometry, r_next, r_prev, weights, lengths),
+        rtol=0, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        cf.angles_from_lengths(geometry, lengths),
+        geometry_oracle.angles_from_lengths(geometry, lengths),
+        rtol=0, atol=1e-12,
+    )
+
+
+def test_angles_refuse_sides_that_bound_no_triangle():
+    for g in GEOMS:
+        for sides in ((1.0, 0.4, 0.6), (1.0, 0.3, 0.5), (0.2, np.inf, 0.3), (np.nan, 0.2, 0.2)):
+            with pytest.raises(cf.DegenerateTriangleError):
+                cf.angles_from_lengths(g, np.array(sides))
+    # on the sphere the perimeter must stay below 2*pi as well
+    with pytest.raises(cf.DegenerateTriangleError):
+        cf.angles_from_lengths(cf.Geometry.SPHERICAL, np.array([2.2, 2.2, 2.2]))
+    ok = cf.angles_from_lengths(cf.Geometry.SPHERICAL, np.array([2.0, 2.0, 2.0]))
+    assert np.all(ok > math.pi / 3)
